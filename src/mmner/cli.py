@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -126,14 +127,13 @@ def _train_config(args, config) -> TrainConfig:
     kind = _setting(args, config, "trigger", "integrated", str)
     if kind not in TRIGGER_KINDS:
         raise CliError(f"unknown trigger {kind!r}; pick one of {', '.join(TRIGGER_KINDS)}")
-    trigger = Trigger(
-        kind,
-        kappa=_setting(args, config, "kappa", DEFAULT_KAPPA, float),
-        beta=_setting(args, config, "beta", DEFAULT_BETA, float),
-    )
     try:
         return TrainConfig(
-            trigger=trigger,
+            trigger=Trigger(
+                kind,
+                kappa=_setting(args, config, "kappa", DEFAULT_KAPPA, float),
+                beta=_setting(args, config, "beta", DEFAULT_BETA, float),
+            ),
             learning_rate=_setting(args, config, "lr", DEFAULT_LR, float),
             decay=_setting(args, config, "decay", DEFAULT_DECAY, float),
             l2_lambda=_setting(args, config, "l2", DEFAULT_L2, float),
@@ -232,11 +232,7 @@ def _beta_sweep(sweep: str, params, train_set, dev_set, tc: TrainConfig) -> int:
     eval_set = dev_set if dev_set else train_set
     print("beta\toverall_f1")
     for beta in betas:
-        cfg = TrainConfig(
-            trigger=Trigger("integrated", kappa=tc.trigger.kappa, beta=beta),
-            learning_rate=tc.learning_rate, decay=tc.decay, l2_lambda=tc.l2_lambda,
-            epochs=tc.epochs, beam_k=tc.beam_k, seed=tc.seed, window=tc.window,
-        )
+        cfg = replace(tc, trigger=Trigger("integrated", kappa=tc.trigger.kappa, beta=beta))
         best, _ = train(params.copy(), train_set, dev_set, cfg)
         preds = [predict_labels(s, best) for s in eval_set]
         report = evaluate(eval_set, preds, params.meta.scheme)
@@ -244,8 +240,9 @@ def _beta_sweep(sweep: str, params, train_set, dev_set, tc: TrainConfig) -> int:
     return 0
 
 
-def _encode_for_model(sentences, params, seg_map):
+def _encode_for_model(sentences, params, seg_path):
     meta = params.meta
+    seg_map = load_segmentation(_read(seg_path, "segmented text")) if seg_path else None
     return encode_corpus(
         sentences, seg_map, meta.mode, meta.bigrams, meta.token_vocab, meta.feature_vocabs()
     )
@@ -254,9 +251,7 @@ def _encode_for_model(sentences, params, seg_map):
 def cmd_predict(args) -> int:
     params = load_model(args.model)
     raw, _ = parse_conll(_read(args.input, "input"), params.meta.scheme)
-    seg_map = load_segmentation(_read(args.segmented_text, "segmented text")) \
-        if args.segmented_text else None
-    encoded = _encode_for_model(raw, params, seg_map)
+    encoded = _encode_for_model(raw, params, args.segmented_text)
     scheme = params.meta.scheme
     blocks = []
     for sent, enc in zip(raw, encoded):
@@ -275,9 +270,7 @@ def cmd_eval(args) -> int:
     gold = _load_corpus(args.gold, scheme, "gold")
     if any(s.gold_labels is None for s in gold):
         raise CliError(f"gold file {args.gold} must contain labels")
-    seg_map = load_segmentation(_read(args.segmented_text, "segmented text")) \
-        if args.segmented_text else None
-    encoded = _encode_for_model(gold, params, seg_map)
+    encoded = _encode_for_model(gold, params, args.segmented_text)
     preds = [predict_labels(s, params) for s in encoded]
     train_surfaces = None
     if args.train_gold:

@@ -115,7 +115,6 @@ class Sentence:
     gold_labels: list[int] | None = None
     features: list[list[int]] = field(default_factory=list)
     token_ids: list[int] | None = None
-    oov_flags: list[bool] | None = None
 
     def __post_init__(self):
         if self.gold_labels is not None and len(self.gold_labels) != len(self.tokens):

@@ -3,7 +3,8 @@ shapes, and the wiring between representation modes and embedding tables."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +40,9 @@ class ModelMeta:
     bigram_itos: tuple[str, ...]
 
     def __post_init__(self):
+        sizes = (self.window, self.d_token, self.d_feature, self.hidden_dim)
+        if min(sizes) < 1 or self.window % 2 == 0:
+            raise ValueError("window and dimensions must be positive, the window odd")
         if self.mode not in MODES:
             raise ValueError(f"unknown representation mode {self.mode!r}")
         if self.bigrams != bool(self.bigram_itos):
@@ -66,16 +70,6 @@ class ModelMeta:
         return self.window * self.d_token + n_slots * self.d_feature
 
 
-def feature_table_names(meta: ModelMeta) -> list[str]:
-    """Tensor names of the feature tables, in assembly order."""
-    names = []
-    if meta.mode == MODE_SEGFEAT:
-        names.append("emb_seg")
-    if meta.bigrams:
-        names.append("emb_bigram")
-    return names
-
-
 @dataclass
 class ModelParams:
     """All trainable tensors of one tagger."""
@@ -94,54 +88,49 @@ class ModelParams:
         if self.transitions.shape != (n + 1, n):
             raise ValueError(f"transition matrix must be {(n + 1, n)}, got {self.transitions.shape}")
 
+    def tables(self) -> dict[str, EmbeddingTable]:
+        """Tensor name -> embedding table, in the fixed tensor order."""
+        out = {"emb_token": self.token_table}
+        if self.seg_table is not None:
+            out["emb_seg"] = self.seg_table
+        if self.bigram_table is not None:
+            out["emb_bigram"] = self.bigram_table
+        return out
+
+    def dense_tensors(self) -> dict[str, np.ndarray]:
+        return {
+            "lstm_fwd_w": self.fwd.w, "lstm_fwd_b": self.fwd.b,
+            "lstm_bwd_w": self.bwd.w, "lstm_bwd_b": self.bwd.b,
+            "proj_w": self.proj.w_hy, "proj_b": self.proj.b_y,
+            "transitions": self.transitions,
+        }
+
+    def fold(self) -> None:
+        """Fold every table's lazy weight-decay scale into its rows."""
+        for table in self.tables().values():
+            table.fold()
+
     def named_tensors(self) -> dict[str, np.ndarray]:
         """Name -> array views of every tensor, in a fixed order.
 
         Mutating the arrays mutates the model; this is the single registry
-        serialization, SGD, regularization and gradient checks all share.
+        serialization, regularization and gradient checks all share. The
+        embedding tables are folded first, so every array holds plain values.
         """
-        out: dict[str, np.ndarray] = {"emb_token": self.token_table.vectors}
-        if self.seg_table is not None:
-            out["emb_seg"] = self.seg_table.vectors
-        if self.bigram_table is not None:
-            out["emb_bigram"] = self.bigram_table.vectors
-        out["lstm_fwd_w"] = self.fwd.w
-        out["lstm_fwd_b"] = self.fwd.b
-        out["lstm_bwd_w"] = self.bwd.w
-        out["lstm_bwd_b"] = self.bwd.b
-        out["proj_w"] = self.proj.w_hy
-        out["proj_b"] = self.proj.b_y
-        out["transitions"] = self.transitions
+        out = {name: table.fold() for name, table in self.tables().items()}
+        out.update(self.dense_tensors())
         return out
 
     def assembly(self) -> InputAssembly:
-        tables: list[EmbeddingTable] = []
-        by_kind: dict[str, int] = {}
-        if self.seg_table is not None:
-            by_kind["seg"] = len(tables)
-            tables.append(self.seg_table)
-        if self.bigram_table is not None:
-            by_kind["bigram"] = len(tables)
-            tables.append(self.bigram_table)
-        slots = [by_kind[k] for k in slot_kinds(self.meta.mode, self.meta.bigrams)]
-        return InputAssembly(self.meta.window, self.token_table, tables, slots)
+        pairs = (("seg", self.seg_table), ("bigram", self.bigram_table))
+        features = {kind: table for kind, table in pairs if table is not None}
+        slots = [list(features).index(k) for k in slot_kinds(self.meta.mode, self.meta.bigrams)]
+        return InputAssembly(self.meta.window, self.token_table, list(features.values()), slots)
 
     def copy(self) -> "ModelParams":
         """Deep copy of every tensor (metadata is shared, it is frozen)."""
-        return ModelParams(
-            meta=self.meta,
-            token_table=replace(self.token_table, vectors=self.token_table.vectors.copy()),
-            seg_table=None if self.seg_table is None
-            else replace(self.seg_table, vectors=self.seg_table.vectors.copy()),
-            bigram_table=None if self.bigram_table is None
-            else replace(self.bigram_table, vectors=self.bigram_table.vectors.copy()),
-            fwd=LstmParams(self.fwd.input_dim, self.fwd.hidden_dim,
-                           self.fwd.w.copy(), self.fwd.b.copy()),
-            bwd=LstmParams(self.bwd.input_dim, self.bwd.hidden_dim,
-                           self.bwd.w.copy(), self.bwd.b.copy()),
-            proj=ProjectionParams(self.proj.w_hy.copy(), self.proj.b_y.copy()),
-            transitions=self.transitions.copy(),
-        )
+        self.fold()
+        return copy.deepcopy(self, {id(self.meta): self.meta})
 
 
 def init_params(
@@ -168,6 +157,3 @@ def init_params(
     transitions = np.zeros((meta.scheme.n_labels + 1, meta.scheme.n_labels))
     return ModelParams(meta, token_table, seg_table, bigram_table, fwd, bwd, proj, transitions)
 
-
-def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.named_tensors().items()}

@@ -18,16 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Sentence
-from .embeddings import InputAssembly, assemble_window, assembly_backward
-
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+from .embeddings import InputAssembly, RowGrad, assemble_window, assembly_backward
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int, fan_in: int, fan_out: int) -> np.ndarray:
@@ -40,8 +31,8 @@ class LstmParams:
     """One direction's recurrent parameters.
 
     ``w`` stacks the four gate matrices as (4*hidden, input+hidden) and ``b``
-    the biases as (4*hidden,); per-gate views are exposed as properties so
-    each gate matrix reads as (hidden, input+hidden).
+    the biases as (4*hidden,). Columns [:input] act on the input x (W_x),
+    the rest on the previous hidden state (W_h).
     """
 
     input_dim: int
@@ -62,23 +53,6 @@ class LstmParams:
                    input_dim + hidden_dim, hidden_dim)
         return cls(input_dim, hidden_dim, w, np.zeros(4 * hidden_dim))
 
-    def _gate(self, k):
-        h = self.hidden_dim
-        return self.w[k * h:(k + 1) * h]
-
-    def _bias(self, k):
-        h = self.hidden_dim
-        return self.b[k * h:(k + 1) * h]
-
-    w_input = property(lambda self: self._gate(0))
-    w_forget = property(lambda self: self._gate(1))
-    w_output = property(lambda self: self._gate(2))
-    w_candidate = property(lambda self: self._gate(3))
-    b_input = property(lambda self: self._bias(0))
-    b_forget = property(lambda self: self._bias(1))
-    b_output = property(lambda self: self._bias(2))
-    b_candidate = property(lambda self: self._bias(3))
-
 
 @dataclass
 class ProjectionParams:
@@ -97,97 +71,118 @@ class ProjectionParams:
         return cls(w, np.zeros(n_labels))
 
 
-def _step(xc: np.ndarray, c_prev: np.ndarray, params: LstmParams):
-    h_dim = params.hidden_dim
-    a = params.w @ xc + params.b
-    i = _sigmoid(a[0:h_dim])
-    f = _sigmoid(a[h_dim:2 * h_dim])
-    o = _sigmoid(a[2 * h_dim:3 * h_dim])
-    g = np.tanh(a[3 * h_dim:4 * h_dim])
-    c = f * c_prev + i * g
+def _activate(a: np.ndarray, c_prev: np.ndarray, h_dim: int):
+    """Turn one step's gate pre-activations ``a`` (4*hidden,) into gate
+    activations in place (one sigmoid over i/f/o, tanh over g) and return
+    (h, c, tanh(c))."""
+    ifo = a[:3 * h_dim]
+    ifo *= 0.5
+    np.tanh(ifo, out=ifo)  # sigma(x) = (1 + tanh(x/2)) / 2, stable for any x
+    ifo += 1.0
+    ifo *= 0.5
+    g = a[3 * h_dim:]
+    np.tanh(g, out=g)
+    c = a[h_dim:2 * h_dim] * c_prev
+    c += a[:h_dim] * g
     tc = np.tanh(c)
-    h = o * tc
-    return h, c, i, f, o, g, tc
+    return a[2 * h_dim:3 * h_dim] * tc, c, tc
 
 
 def lstm_cell(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: LstmParams):
     """One recurrence step; returns (h, c)."""
     if x.shape != (params.input_dim,) or h_prev.shape != (params.hidden_dim,):
         raise ValueError("input or state dimension mismatch")
-    xc = np.concatenate([x, h_prev])
-    h, c, *_ = _step(xc, c_prev, params)
+    a = params.w @ np.concatenate([x, h_prev]) + params.b
+    h, c, _ = _activate(a, c_prev, params.hidden_dim)
     return h, c
 
 
-class DirectionCache:
-    """Forward activations of one direction, in processing order."""
-
-    __slots__ = ("xc", "i", "f", "o", "g", "c", "tc")
-
-    def __init__(self, n, d, h):
-        self.xc = np.empty((n, d + h))
-        self.i = np.empty((n, h))
-        self.f = np.empty((n, h))
-        self.o = np.empty((n, h))
-        self.g = np.empty((n, h))
-        self.c = np.empty((n, h))
-        self.tc = np.empty((n, h))
+def _steps(n: int, reverse: bool):
+    return range(n - 1, -1, -1) if reverse else range(n)
 
 
-def _run_direction(inputs: np.ndarray, params: LstmParams):
-    n = inputs.shape[0]
-    d, h_dim = params.input_dim, params.hidden_dim
-    cache = DirectionCache(n, d, h_dim)
-    hidden = np.empty((n, h_dim))
+def _previous(rows: np.ndarray, reverse: bool) -> np.ndarray:
+    """Row t holds the state the recurrence saw before step t (zero first)."""
+    out = np.roll(rows, -1 if reverse else 1, axis=0)
+    out[-1 if reverse else 0] = 0.0
+    return out
+
+
+def _run_direction(inputs: np.ndarray, params: LstmParams, reverse: bool):
+    """(hidden states, cache) of one direction, rows in sentence order; the
+    cache holds the gate activations (n, 4*hidden), the cell states and their
+    tanh (n, hidden).
+
+    The input projection of every step is one GEMM; the loop keeps only the
+    recurrent matvec and the gate nonlinearities.
+    """
+    n, d, h_dim = inputs.shape[0], params.input_dim, params.hidden_dim
+    act = inputs @ params.w[:, :d].T
+    act += params.b
+    w_h = params.w[:, d:]
+    c_all, tc_all, hidden = np.empty((n, h_dim)), np.empty((n, h_dim)), np.empty((n, h_dim))
     h = np.zeros(h_dim)
     c = np.zeros(h_dim)
-    for t in range(n):
-        xc = np.concatenate([inputs[t], h])
-        cache.xc[t] = xc
-        h, c_new, i, f, o, g, tc = _step(xc, c, params)
-        cache.i[t], cache.f[t], cache.o[t], cache.g[t] = i, f, o, g
-        cache.c[t], cache.tc[t] = c_new, tc
-        hidden[t] = h
-        c = c_new
-    return hidden, cache
+    for t in _steps(n, reverse):
+        a = act[t]
+        a += w_h @ h
+        h, c, tc = _activate(a, c, h_dim)
+        hidden[t], c_all[t], tc_all[t] = h, c, tc
+    return hidden, (act, c_all, tc_all)
 
 
-def _direction_backward(d_hidden: np.ndarray, cache: DirectionCache, params: LstmParams):
-    n = d_hidden.shape[0]
-    d, h_dim = params.input_dim, params.hidden_dim
-    dw = np.zeros_like(params.w)
-    db = np.zeros_like(params.b)
-    d_inputs = np.empty((n, d))
+def _direction_backward(
+    d_hidden: np.ndarray,
+    inputs: np.ndarray,
+    hidden: np.ndarray,
+    cache: tuple[np.ndarray, np.ndarray, np.ndarray],
+    params: LstmParams,
+    reverse: bool,
+):
+    """(dW, db, d_inputs) of one direction. The loop only runs the gate
+    deltas back through time; the weight and input gradients are GEMMs over
+    the stacked deltas."""
+    n, d, h_dim = inputs.shape[0], params.input_dim, params.hidden_dim
+    act, c, tc = cache
+    i, f, o, g = (act[:, k * h_dim:(k + 1) * h_dim] for k in range(4))
+    # d a_t = fac_t * (dc, dc, dh, dc) gate by gate
+    fac = np.empty((n, 4, h_dim))
+    fac[:, 0] = g * i * (1.0 - i)
+    fac[:, 1] = _previous(c, reverse) * f * (1.0 - f)
+    fac[:, 2] = tc * o * (1.0 - o)
+    fac[:, 3] = i * (1.0 - g * g)
+    dh_to_dc = o * (1.0 - tc * tc)
+    w_h_t = params.w[:, d:].T
+    da = np.empty((n, 4, h_dim))
     carry_h = np.zeros(h_dim)
     carry_c = np.zeros(h_dim)
-    for t in range(n - 1, -1, -1):
-        i, f, o, g = cache.i[t], cache.f[t], cache.o[t], cache.g[t]
-        tc = cache.tc[t]
-        c_prev = cache.c[t - 1] if t > 0 else np.zeros(h_dim)
+    for t in _steps(n, not reverse):
         dh = d_hidden[t] + carry_h
-        dc = carry_c + dh * o * (1.0 - tc * tc)
-        da = np.concatenate([
-            dc * g * i * (1.0 - i),
-            dc * c_prev * f * (1.0 - f),
-            dh * tc * o * (1.0 - o),
-            dc * i * (1.0 - g * g),
-        ])
-        dw += np.outer(da, cache.xc[t])
-        db += da
-        dxc = params.w.T @ da
-        d_inputs[t] = dxc[:d]
-        carry_h = dxc[d:]
-        carry_c = dc * f
-    return dw, db, d_inputs
+        dc = dh * dh_to_dc[t]
+        dc += carry_c
+        np.multiply(fac[t], dc, out=da[t])
+        np.multiply(fac[t, 2], dh, out=da[t, 2])
+        carry_h = w_h_t @ da[t].reshape(-1)
+        carry_c = dc * f[t]
+    da = da.reshape(n, 4 * h_dim)
+    dw = np.empty_like(params.w)
+    np.matmul(da.T, inputs, out=dw[:, :d])
+    np.matmul(da.T, _previous(hidden, reverse), out=dw[:, d:])
+    return dw, da.sum(axis=0), da @ params.w[:, :d]
+
+
+def _bilstm(inputs: np.ndarray, fwd: LstmParams, bwd: LstmParams):
+    """(hidden (n, 2*hidden), forward cache, backward cache)."""
+    if inputs.shape[0] == 0:
+        raise ValueError("empty input sequence")
+    h_fwd, fwd_cache = _run_direction(inputs, fwd, reverse=False)
+    h_bwd, bwd_cache = _run_direction(inputs, bwd, reverse=True)
+    return np.concatenate([h_fwd, h_bwd], axis=1), fwd_cache, bwd_cache
 
 
 def bilstm_forward(inputs: np.ndarray, fwd: LstmParams, bwd: LstmParams) -> np.ndarray:
     """Hidden vectors h_t = [forward_t ; backward_t], shape (n, 2*hidden)."""
-    if inputs.shape[0] == 0:
-        raise ValueError("empty input sequence")
-    h_fwd, _ = _run_direction(inputs, fwd)
-    h_bwd_rev, _ = _run_direction(inputs[::-1], bwd)
-    return np.concatenate([h_fwd, h_bwd_rev[::-1]], axis=1)
+    return _bilstm(inputs, fwd, bwd)[0]
 
 
 @dataclass
@@ -215,23 +210,16 @@ def emissions(hidden: np.ndarray, proj: ProjectionParams) -> EmissionMatrix:
     return EmissionMatrix(exp / denom, shifted - np.log(denom))
 
 
-def label_score(em: EmissionMatrix, t: int, label: int) -> float:
-    """Log-probability of a label at one position."""
-    return float(em.log_probs[t, label])
-
-
+@dataclass
 class SentenceCache:
     """Everything the backward pass needs for one sentence."""
 
-    __slots__ = ("sentence", "inputs", "fwd_cache", "bwd_cache", "hidden", "em")
-
-    def __init__(self, sentence, inputs, fwd_cache, bwd_cache, hidden, em):
-        self.sentence = sentence
-        self.inputs = inputs
-        self.fwd_cache = fwd_cache
-        self.bwd_cache = bwd_cache
-        self.hidden = hidden
-        self.em = em
+    sentence: Sentence
+    inputs: np.ndarray
+    fwd_cache: tuple
+    bwd_cache: tuple
+    hidden: np.ndarray
+    em: EmissionMatrix
 
 
 def forward_sentence(
@@ -244,16 +232,14 @@ def forward_sentence(
     if len(sentence) == 0:
         raise ValueError("empty sentence")
     inputs = assemble_window(sentence, assembly)
-    h_fwd, fwd_cache = _run_direction(inputs, fwd)
-    h_bwd_rev, bwd_cache = _run_direction(inputs[::-1], bwd)
-    hidden = np.concatenate([h_fwd, h_bwd_rev[::-1]], axis=1)
+    hidden, fwd_cache, bwd_cache = _bilstm(inputs, fwd, bwd)
     return SentenceCache(sentence, inputs, fwd_cache, bwd_cache, hidden, emissions(hidden, proj))
 
 
 @dataclass
 class NetworkGrads:
-    d_token: np.ndarray
-    d_feats: list[np.ndarray]
+    d_token: RowGrad
+    d_feats: list[RowGrad]
     d_fwd_w: np.ndarray
     d_fwd_b: np.ndarray
     d_bwd_w: np.ndarray
@@ -285,10 +271,12 @@ def backward(
     d_hidden = d_logits @ proj.w_hy
 
     h_dim = fwd.hidden_dim
-    d_fwd_w, d_fwd_b, d_in_fwd = _direction_backward(d_hidden[:, :h_dim], cache.fwd_cache, fwd)
-    d_bwd_w, d_bwd_b, d_in_bwd_rev = _direction_backward(
-        d_hidden[:, h_dim:][::-1], cache.bwd_cache, bwd
+    d_fwd_w, d_fwd_b, d_inputs = _direction_backward(
+        d_hidden[:, :h_dim], cache.inputs, cache.hidden[:, :h_dim], cache.fwd_cache, fwd, False
     )
-    d_inputs = d_in_fwd + d_in_bwd_rev[::-1]
+    d_bwd_w, d_bwd_b, d_in_bwd = _direction_backward(
+        d_hidden[:, h_dim:], cache.inputs, cache.hidden[:, h_dim:], cache.bwd_cache, bwd, True
+    )
+    d_inputs += d_in_bwd
     d_token, d_feats = assembly_backward(d_inputs, cache.sentence, assembly)
     return NetworkGrads(d_token, d_feats, d_fwd_w, d_fwd_b, d_bwd_w, d_bwd_b, d_w_hy, d_b_y)

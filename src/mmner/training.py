@@ -16,16 +16,17 @@ candidate set (Viterbi-seeded, gold always injected) reranked by s + Delta.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Sentence, TagScheme, Vocab, repair_bio
-from .embeddings import EmbeddingTable
+from .corpus import Sentence, TagScheme
+from .embeddings import EmbeddingTable, RowGrad
 from .evaluation import evaluate
-from .model import ModelMeta, ModelParams, feature_table_names, zero_grads
+from .model import ModelMeta, ModelParams
 from .network import (
     EmissionMatrix,
     LstmParams,
@@ -84,6 +85,13 @@ def predict_labels(sentence: Sentence, params: ModelParams) -> list[int]:
     return viterbi(cache.em, params.transitions).labels
 
 
+def _hamming_augmented(em: EmissionMatrix, gold: list[int], kappa: float) -> EmissionMatrix:
+    """Emissions with the Hamming cost folded in: +kappa off the gold label."""
+    cost = np.full(em.log_probs.shape, kappa)
+    cost[np.arange(len(gold)), gold] = 0.0
+    return EmissionMatrix(em.probs, em.log_probs + cost)
+
+
 def _augmented_best(
     gold: list[int],
     em: EmissionMatrix,
@@ -98,10 +106,7 @@ def _augmented_best(
     otherwise the lexicographically smaller label sequence does.
     """
     if not trigger.needs_rerank:
-        cost = np.full(em.log_probs.shape, trigger.kappa)
-        cost[np.arange(len(gold)), gold] = 0.0
-        aug_em = EmissionMatrix(em.probs, em.log_probs + cost)
-        best = viterbi(aug_em, trans)
+        best = viterbi(_hamming_augmented(em, gold, trigger.kappa), trans)
         return best.labels, best.score
 
     candidates = beam_topk(em, trans, beam_k)
@@ -127,21 +132,7 @@ def loss_augmented_predict(
     The returned score is the plain sentence score of those labels (the
     augmented objective decides only which labels come back).
     """
-    if sentence.gold_labels is None:
-        raise ValueError("sentence has no gold labels")
-    cache = _forward(sentence, params)
-    labels, _ = _augmented_best(
-        sentence.gold_labels, cache.em, params.transitions, trigger,
-        params.meta.scheme, beam_k,
-    )
-    return ScoredSequence(labels, sentence_score(cache.em, params.transitions, labels))
-
-
-def _transition_grad(out: np.ndarray, labels: list[int], sign: float, n_labels: int):
-    prev = n_labels
-    for lab in labels:
-        out[prev, lab] += sign
-        prev = lab
+    return instance_loss(sentence, params, trigger, beam_k)[1]
 
 
 def instance_loss(
@@ -162,13 +153,15 @@ def instance_gradients(
     """One forward/backward pass: (q_i, lbar, gradient dict or None).
 
     The gradients are the exact subgradient of q_i at the attained max branch
-    (no L2 term). When lbar equals gold the score terms cancel and the
-    gradient is identically zero, returned as None.
+    (no L2 term); the embedding tables' entries are sparse :class:`RowGrad`s,
+    the rest dense arrays. When lbar equals gold the score terms cancel and
+    the gradient is identically zero, returned as None.
     """
     gold = sentence.gold_labels
     if gold is None:
         raise ValueError("sentence has no gold labels")
-    cache = _forward(sentence, params)
+    assembly = params.assembly()
+    cache = forward_sentence(sentence, assembly, params.fwd, params.bwd, params.proj)
     trans = params.transitions
     labels, aug = _augmented_best(gold, cache.em, trans, trigger, params.meta.scheme, beam_k)
     q = aug - sentence_score(cache.em, trans, gold)
@@ -176,26 +169,20 @@ def instance_gradients(
     if not want_grads or labels == gold:
         return q, lbar, None
 
-    n = len(gold)
     d_log = np.zeros_like(cache.em.log_probs)
-    rows = np.arange(n)
+    rows = np.arange(len(gold))
     np.add.at(d_log, (rows, labels), 1.0)
     np.add.at(d_log, (rows, gold), -1.0)
-    net = backward(cache, d_log, params.assembly(), params.fwd, params.bwd, params.proj)
+    net = backward(cache, d_log, assembly, params.fwd, params.bwd, params.proj)
 
-    grads: dict[str, np.ndarray] = {"emb_token": net.d_token}
-    for name, d_feat in zip(feature_table_names(params.meta), net.d_feats):
-        grads[name] = d_feat
-    grads["lstm_fwd_w"] = net.d_fwd_w
-    grads["lstm_fwd_b"] = net.d_fwd_b
-    grads["lstm_bwd_w"] = net.d_bwd_w
-    grads["lstm_bwd_b"] = net.d_bwd_b
-    grads["proj_w"] = net.d_w_hy
-    grads["proj_b"] = net.d_b_y
+    # the tables come in assembly order: token, then the feature tables
+    grads = dict(zip(params.tables(), [net.d_token, *net.d_feats]))
     d_trans = np.zeros_like(trans)
-    _transition_grad(d_trans, labels, +1.0, cache.em.n_labels)
-    _transition_grad(d_trans, gold, -1.0, cache.em.n_labels)
-    grads["transitions"] = d_trans
+    start = [cache.em.n_labels]
+    np.add.at(d_trans, (start + labels[:-1], labels), 1.0)
+    np.add.at(d_trans, (start + gold[:-1], gold), -1.0)
+    grads.update(lstm_fwd_w=net.d_fwd_w, lstm_fwd_b=net.d_fwd_b, lstm_bwd_w=net.d_bwd_w,
+                 lstm_bwd_b=net.d_bwd_b, proj_w=net.d_w_hy, proj_b=net.d_b_y, transitions=d_trans)
     return q, lbar, grads
 
 
@@ -216,28 +203,27 @@ def objective(dataset: list[Sentence], params: ModelParams, config: TrainConfig)
 
 
 def sgd_step(
-    params: ModelParams, grads: dict[str, np.ndarray] | None, lr: float, l2_lambda: float
+    params: ModelParams, grads: dict[str, np.ndarray | RowGrad] | None, lr: float, l2_lambda: float
 ) -> None:
     """In-place update theta <- theta - lr * (g + lambda * theta).
 
     Weight decay applies to every trainable tensor on every step, gradient
-    or not; tensors absent from the gradient dict update with g = 0.
+    or not; tensors absent from the gradient dict update with g = 0. The
+    embedding tables decay lazily through their scale and write only the
+    gradient's rows; dense tensors decay in place.
     """
-    for name, arr in trainable_tensors(params).items():
-        g = grads.get(name) if grads else None
-        if g is None:
-            if l2_lambda:
-                arr -= lr * l2_lambda * arr
-            continue
-        if g.shape != arr.shape:
+    grads = grads or {}
+    for name, table in params.tables().items():
+        if table.trainable:
+            table.sgd_update(grads.get(name), lr, l2_lambda)
+    for name, arr in params.dense_tensors().items():
+        g = grads.get(name)
+        if g is not None and g.shape != arr.shape:
             raise ValueError(f"gradient shape mismatch for {name}: {g.shape} vs {arr.shape}")
-        arr -= lr * (g + l2_lambda * arr)
-
-
-def _epoch_f1(params: ModelParams, dev_set: list[Sentence], scheme: TagScheme):
-    preds = [predict_labels(sent, params) for sent in dev_set]
-    report = evaluate(dev_set, preds, scheme)
-    return report
+        if l2_lambda:
+            arr *= 1.0 - lr * l2_lambda
+        if g is not None:
+            arr -= lr * g
 
 
 def train(
@@ -270,13 +256,13 @@ def train(
             q, _, grads = instance_gradients(train_set[int(i)], params, config.trigger, config.beam_k)
             total_q += q
             sgd_step(params, grads, lr, config.l2_lambda)
+        params.fold()
         mean_q = total_q / len(train_set)
         if dev_set:
-            report = _epoch_f1(params, dev_set, scheme)
-            named = report.groups["named"].f1
-            nominal = report.groups["nominal"].f1
+            report = evaluate(dev_set, [predict_labels(s, params) for s in dev_set], scheme)
             overall = report.overall_f1
-            cols = [f"{named:.4f}", f"{nominal:.4f}", f"{overall:.4f}"]
+            cols = [f"{f:.4f}" for f in
+                    (report.groups["named"].f1, report.groups["nominal"].f1, overall)]
             if overall > best_f1:
                 best_f1 = overall
                 best = params.copy()
@@ -332,6 +318,8 @@ def _meta_to_json(meta: ModelMeta, token_trainable: bool) -> bytes:
 
 def _meta_from_json(blob: bytes) -> tuple[ModelMeta, bool]:
     doc = json.loads(blob.decode("utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError("metadata is not a JSON object")
     scheme = TagScheme(
         tuple(doc["labels"]),
         tuple((c, k) for c, k in doc["entity_types"]),
@@ -359,19 +347,15 @@ def save_model(params: ModelParams, path: str) -> None:
     per tensor: uint16 name length + name, uint8 rank, rank x uint64 dims,
     float64 values row-major.
     """
-    chunks = [MODEL_MAGIC, struct.pack("<I", MODEL_VERSION)]
     meta_blob = _meta_to_json(params.meta, params.token_table.trainable)
-    chunks.append(struct.pack("<I", len(meta_blob)))
-    chunks.append(meta_blob)
     tensors = params.named_tensors()
-    chunks.append(struct.pack("<I", len(tensors)))
+    chunks = [MODEL_MAGIC, struct.pack("<I", MODEL_VERSION), struct.pack("<I", len(meta_blob)),
+              meta_blob, struct.pack("<I", len(tensors))]
     for name, arr in tensors.items():
         encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        chunks += [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", arr.ndim),
+                   struct.pack(f"<{arr.ndim}Q", *arr.shape),
+                   np.ascontiguousarray(arr, dtype="<f8").tobytes()]
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(b"".join(chunks))
@@ -429,19 +413,16 @@ def load_model(path: str) -> ModelParams:
     (meta_len,) = reader.unpack("<I")
     try:
         meta, token_trainable = _meta_from_json(reader.take(meta_len))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ModelShapeError(f"bad metadata block: {exc}") from None
     (n_tensors,) = reader.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        name = reader.take(name_len).decode("utf-8", errors="replace")
         (rank,) = reader.unpack("<B")
         shape = reader.unpack(f"<{rank}Q")
-        count = 1
-        for d in shape:
-            count *= d
-        data = reader.take(8 * count)
+        data = reader.take(8 * math.prod(shape))
         tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     if reader.pos != len(reader.blob):
         raise ModelShapeError(f"{len(reader.blob) - reader.pos} trailing bytes after last tensor")
@@ -458,18 +439,13 @@ def load_model(path: str) -> ModelParams:
             )
 
     width = meta.input_width
-    token_table = EmbeddingTable(meta.d_token, tensors["emb_token"], token_trainable)
-    seg_table = None
-    if "emb_seg" in tensors:
-        seg_table = EmbeddingTable(meta.d_feature, tensors["emb_seg"])
-    bigram_table = None
-    if "emb_bigram" in tensors:
-        bigram_table = EmbeddingTable(meta.d_feature, tensors["emb_bigram"])
+    feature = {name: EmbeddingTable(meta.d_feature, tensors[name])
+               for name in ("emb_seg", "emb_bigram") if name in tensors}
     return ModelParams(
         meta=meta,
-        token_table=token_table,
-        seg_table=seg_table,
-        bigram_table=bigram_table,
+        token_table=EmbeddingTable(meta.d_token, tensors["emb_token"], token_trainable),
+        seg_table=feature.get("emb_seg"),
+        bigram_table=feature.get("emb_bigram"),
         fwd=LstmParams(width, meta.hidden_dim, tensors["lstm_fwd_w"], tensors["lstm_fwd_b"]),
         bwd=LstmParams(width, meta.hidden_dim, tensors["lstm_bwd_w"], tensors["lstm_bwd_b"]),
         proj=ProjectionParams(tensors["proj_w"], tensors["proj_b"]),
@@ -506,10 +482,7 @@ def augmented_gap(sentence: Sentence, params: ModelParams, trigger: Trigger) -> 
     em, trans = cache.em, params.transitions
     n_all = em.n_labels ** em.n
     if not trigger.needs_rerank:
-        cost = np.full(em.log_probs.shape, trigger.kappa)
-        cost[np.arange(len(gold)), gold] = 0.0
-        em = EmissionMatrix(em.probs, em.log_probs + cost)
-        scored = beam_topk(em, trans, n_all)
+        scored = beam_topk(_hamming_augmented(em, gold, trigger.kappa), trans, n_all)
         return scored[0].score - scored[1].score if len(scored) > 1 else np.inf
     augs = sorted(
         (c.score + trigger.delta(gold, c.labels, params.meta.scheme)
@@ -534,19 +507,20 @@ def finite_difference_check(
     maximized per tensor. ``corrupt`` names a tensor whose analytic gradient
     gets deliberately broken (fault-injection hook for testing the checker).
     """
-    _, _, grads = instance_gradients(sentence, params, trigger, beam_k)
-    if grads is None:
-        grads = {}
+    _, _, sparse = instance_gradients(sentence, params, trigger, beam_k)
+    sparse = sparse or {}
+    grads = {}
+    for name, theta in params.named_tensors().items():
+        g = sparse.get(name)
+        if isinstance(g, RowGrad):
+            g = g.dense(theta.shape[0])
+        grads[name] = np.zeros_like(theta) if g is None else g
     if corrupt is not None:
-        broken = grads.get(corrupt)
-        if broken is None:
-            broken = zero_grads(params)[corrupt]
-        broken.flat[0] += 1.0
-        grads[corrupt] = broken
+        grads[corrupt].flat[0] += 1.0
 
     report = GradCheckReport()
     for name, theta in trainable_tensors(params).items():
-        analytic = grads.get(name)
+        analytic = grads[name]
         worst = 0.0
         for idx in np.ndindex(theta.shape):
             orig = theta[idx]
@@ -556,7 +530,7 @@ def finite_difference_check(
             q_minus, _ = instance_loss(sentence, params, trigger, beam_k)
             theta[idx] = orig
             numeric = (q_plus - q_minus) / (2.0 * eps)
-            a = float(analytic[idx]) if analytic is not None else 0.0
+            a = float(analytic[idx])
             rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
             worst = max(worst, rel)
         report.per_tensor[name] = worst

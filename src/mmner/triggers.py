@@ -10,6 +10,7 @@ useful gradient signal on entity-free sentences where F1 alone is blind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .corpus import TagScheme, entities_from_labels, repair_bio
@@ -34,7 +35,7 @@ class Trigger:
     def __post_init__(self):
         if self.kind not in TRIGGER_KINDS:
             raise ValueError(f"unknown trigger kind {self.kind!r}")
-        if not (self.kappa >= 0.0 and self.beta >= 0.0):
+        if not all(math.isfinite(v) and v >= 0.0 for v in (self.kappa, self.beta)):
             raise ValueError("kappa and beta must be finite and non-negative")
 
     def delta(self, gold: list[int], pred: list[int], scheme: TagScheme) -> float:

@@ -1,7 +1,16 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import mmner
 
 from mmner.cli import main, parse_config, CliError
 from mmner.corpus import parse_conll, TagScheme
@@ -118,6 +127,12 @@ class TestTrain:
         assert main(["train", "--config", str(bad)]) == 2
         assert "optimizer" in capsys.readouterr().err
 
+    def test_non_finite_kappa_is_a_usage_error(self, tmp_path, corpus_files, capsys):
+        cfg = write_config(tmp_path / "c.cfg", train=str(corpus_files / "train.conll"),
+                           model_out=str(tmp_path / "m.bin"), kappa="inf")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_model_out(self, tmp_path, corpus_files, capsys):
         cfg = write_config(
             tmp_path / "nm.cfg", train=str(corpus_files / "train.conll")
@@ -146,6 +161,21 @@ class TestTrain:
         assert code == 0
         params = load_model(str(model))
         assert params.meta.mode == "segfeat"
+
+
+def with_metadata(blob, patch):
+    """The model file ``blob`` with its metadata JSON updated by ``patch``
+    (or replaced by a JSON list when ``patch`` is None)."""
+    (meta_len,) = struct.unpack("<I", blob[12:16])
+    doc = [] if patch is None else {**json.loads(blob[16:16 + meta_len]), **patch}
+    meta = json.dumps(doc).encode("utf-8")
+    return blob[:12] + struct.pack("<I", len(meta)) + meta + blob[16 + meta_len:]
+
+
+def run_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(mmner.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "mmner.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestPredict:
@@ -182,6 +212,27 @@ class TestPredict:
 
     def test_missing_model(self, tmp_path, corpus_files, capsys):
         assert main(["predict", str(tmp_path / "no.bin"), str(corpus_files / "dev.conll")]) == 2
+
+    @pytest.mark.parametrize("patch", [
+        {"labels": 5},
+        {"labels": [1, 2]},
+        {"entity_types": [["PER"]]},
+        {"window": "3"},
+        {"window": 4},
+        {"hidden_dim": True},
+        {"token_itos": None},
+        {"bigrams": "off"},
+        None,
+    ])
+    def test_malformed_metadata_exits_2_without_traceback(self, tmp_path, corpus_files, patch):
+        code, model = train_once(tmp_path, corpus_files)
+        assert code == 0
+        broken = tmp_path / "broken.bin"
+        broken.write_bytes(with_metadata(model.read_bytes(), patch))
+        proc = run_cli("predict", str(broken), str(corpus_files / "dev.conll"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
 
 
 class TestEval:

@@ -132,7 +132,8 @@ class TestAssemblyBackward:
         sent = encoded_sentence([2, 2, 4], features=[[2, 3], [3, 3], [4, 2]])
         d_inputs = rng.normal(size=(3, assembly.width))
 
-        d_tok, (d_feat,) = assembly_backward(d_inputs, sent, assembly)
+        sparse_tok, (sparse_feat,) = assembly_backward(d_inputs, sent, assembly)
+        d_tok, d_feat = sparse_tok.dense(token.size), sparse_feat.dense(feat.size)
 
         eps = 1e-6
         objective = lambda: float((assemble_window(sent, assembly) * d_inputs).sum())
@@ -151,4 +152,5 @@ class TestAssemblyBackward:
         assembly = InputAssembly(1, token, [], [])
         sent = encoded_sentence([2, 2])
         d_tok, _ = assembly_backward(np.ones((2, 1)), sent, assembly)
-        assert d_tok[2, 0] == 2.0
+        assert d_tok.rows.tolist() == [2]
+        assert d_tok.dense(token.size)[2, 0] == 2.0

@@ -12,8 +12,8 @@ from mmner.network import (
     backward,
     bilstm_forward,
     emissions,
+    _run_direction,
     forward_sentence,
-    label_score,
     lstm_cell,
 )
 
@@ -47,17 +47,18 @@ class TestLstmCell:
         np.testing.assert_allclose(c, c_expect, rtol=1e-12)
         np.testing.assert_allclose(h, o * math.tanh(c_expect), rtol=1e-12)
 
-    def test_gate_views(self):
+    def test_init_stacks_four_gates(self):
         rng = np.random.default_rng(0)
         params = LstmParams.init(3, 2, rng)
-        np.testing.assert_array_equal(params.w_input, params.w[0:2])
-        np.testing.assert_array_equal(params.w_forget, params.w[2:4])
-        np.testing.assert_array_equal(params.w_output, params.w[4:6])
-        np.testing.assert_array_equal(params.w_candidate, params.w[6:8])
+        assert params.w.shape == (8, 5)
         np.testing.assert_array_equal(params.b, 0.0)
-        # views alias the stacked block
-        params.w_input[0, 0] = 99.0
-        assert params.w[0, 0] == 99.0
+        # gate k owns rows [k*h, (k+1)*h): a bias on the forget rows alone
+        # changes only how much of the carried cell survives
+        params.w[:] = 0.0
+        params.b[2:4] = 50.0
+        h, c = lstm_cell(np.zeros(3), np.zeros(2), np.array([1.0, -2.0]), params)
+        np.testing.assert_allclose(c, [1.0, -2.0])
+        np.testing.assert_allclose(h, 0.5 * np.tanh([1.0, -2.0]))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -93,6 +94,17 @@ class TestBiLstm:
         with pytest.raises(ValueError):
             bilstm_forward(np.zeros((0, 2)), params, params)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gemm_direction_matches_stepping_the_cell(self, reverse):
+        rng = np.random.default_rng(8)
+        params = LstmParams(4, 3, rng.normal(size=(12, 7)), rng.normal(size=12))
+        x = rng.normal(size=(6, 4)) * 2.0
+        hidden, _ = _run_direction(x, params, reverse)
+        h, c = np.zeros(3), np.zeros(3)
+        for t in (range(5, -1, -1) if reverse else range(6)):
+            h, c = lstm_cell(x[t], h, c, params)
+            np.testing.assert_allclose(hidden[t], h, rtol=1e-12, atol=1e-12)
+
 
 class TestEmissions:
     def test_rows_sum_to_one(self):
@@ -106,7 +118,7 @@ class TestEmissions:
         proj = ProjectionParams(np.zeros((4, 3)), np.zeros(4))
         em = emissions(np.ones((1, 3)), proj)
         np.testing.assert_allclose(em.log_probs[0], -math.log(4), rtol=1e-12)
-        assert label_score(em, 0, 2) == pytest.approx(-math.log(4))
+        assert em.log_probs[0, 2] == pytest.approx(-math.log(4))
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(4)
@@ -145,8 +157,10 @@ class TestBackward:
         sent, assembly, fwd, bwd, proj = small_net(rng)
         cache = forward_sentence(sent, assembly, fwd, bwd, proj)
         grads = backward(cache, np.zeros_like(cache.em.log_probs), assembly, fwd, bwd, proj)
-        for arr in (grads.d_token, grads.d_fwd_w, grads.d_fwd_b, grads.d_bwd_w,
-                    grads.d_bwd_b, grads.d_w_hy, grads.d_b_y, *grads.d_feats):
+        d_token = grads.d_token.dense(assembly.token_table.size)
+        d_feat = grads.d_feats[0].dense(assembly.feature_tables[0].size)
+        for arr in (d_token, grads.d_fwd_w, grads.d_fwd_b, grads.d_bwd_w,
+                    grads.d_bwd_b, grads.d_w_hy, grads.d_b_y, d_feat):
             np.testing.assert_array_equal(arr, 0.0)
 
     def test_matches_finite_differences(self):
@@ -161,8 +175,9 @@ class TestBackward:
         cache = forward_sentence(sent, assembly, fwd, bwd, proj)
         grads = backward(cache, upstream, assembly, fwd, bwd, proj)
         named = [
-            (assembly.token_table.vectors, grads.d_token),
-            (assembly.feature_tables[0].vectors, grads.d_feats[0]),
+            (assembly.token_table.vectors, grads.d_token.dense(assembly.token_table.size)),
+            (assembly.feature_tables[0].vectors,
+             grads.d_feats[0].dense(assembly.feature_tables[0].size)),
             (fwd.w, grads.d_fwd_w),
             (fwd.b, grads.d_fwd_b),
             (bwd.w, grads.d_bwd_w),

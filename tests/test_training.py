@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mmner.corpus import TagScheme
+from mmner.embeddings import SCALE_FLOOR, RowGrad
 from mmner.network import EmissionMatrix, forward_sentence
 from mmner.structured import sentence_score, viterbi
 from mmner.synthetic import synthetic_corpus, tiny_instance
@@ -282,6 +283,82 @@ class TestTrainLoop:
             train(params, [], [], config)
 
 
+def dense_decay_train(params, dataset, config):
+    """Reference loop: train's shuffling and gradients, with the L2 decay
+    applied densely to every tensor on every step."""
+    rng = np.random.default_rng(config.seed)
+    for epoch in range(config.epochs):
+        lr = config.learning_rate * config.decay ** epoch
+        for i in rng.permutation(len(dataset)):
+            _, _, grads = instance_gradients(dataset[int(i)], params, config.trigger, config.beam_k)
+            for name, theta in params.named_tensors().items():
+                g = (grads or {}).get(name)
+                if isinstance(g, RowGrad):
+                    g = g.dense(theta.shape[0])
+                theta -= lr * ((0.0 if g is None else g) + config.l2_lambda * theta)
+    return params
+
+
+class TestLazyL2:
+    @pytest.mark.parametrize("l2", [1e-6, 5.0, 10.0, 15.0])
+    def test_matches_dense_decay_over_three_epochs(self, l2):
+        corpus = synthetic_corpus(12, seed=5)
+        params, encoded = build_from_raw(corpus.sentences, corpus.scheme, bigrams=True, seed=5)
+        config = TrainConfig(Trigger("hamming"), l2_lambda=l2, epochs=3, seed=5, window=3)
+        if l2 == 5.0:
+            # the scale crosses the floor after 10 of the 12 steps of epoch 0
+            assert (1 - config.learning_rate * l2) ** 10 < SCALE_FLOOR
+            assert (1 - config.learning_rate * l2) ** 9 > SCALE_FLOOR
+        reference = dense_decay_train(params.copy(), encoded, config)
+        trained, _ = train(params, encoded, [], config)
+        assert trained.token_table.scale == params.token_table.scale == 1.0
+        # At lr * lambda == 1 the dense reference computes
+        # theta - lr * (g + lambda * theta) and keeps a rounding residue of
+        # theta, where the scale step zeroes it exactly.
+        atol = 1e-12 if config.learning_rate * l2 == 1.0 else 0.0
+        for name, arr in reference.named_tensors().items():
+            np.testing.assert_allclose(trained.named_tensors()[name], arr,
+                                       rtol=1e-10, atol=atol, err_msg=name)
+
+    @pytest.mark.parametrize("reader", ["named_tensors", "copy", "save_model"])
+    def test_readers_see_fully_decayed_values(self, tmp_path, reader):
+        params, _ = tiny_instance(13)
+        expected = {name: arr * 0.95 for name, arr in params.named_tensors().items()}
+        sgd_step(params, None, lr=0.1, l2_lambda=0.5)
+        assert params.bigram_table.scale == 0.95  # pending, not yet folded
+        if reader == "copy":
+            seen = params.copy()
+        elif reader == "save_model":
+            save_model(params, str(tmp_path / "m.bin"))
+            seen = load_model(str(tmp_path / "m.bin"))
+        else:
+            seen = params
+        tensors = seen.named_tensors()
+        for name, arr in expected.items():
+            np.testing.assert_allclose(tensors[name], arr, rtol=1e-15, err_msg=name)
+        assert all(t.scale == 1.0 for t in seen.tables().values())
+        assert all(t.scale == 1.0 for t in params.tables().values())
+
+    def test_train_leaves_tables_folded(self):
+        corpus = synthetic_corpus(4, seed=6)
+        params, encoded = build_from_raw(corpus.sentences, corpus.scheme, bigrams=True, seed=6)
+        config = TrainConfig(Trigger("integrated"), l2_lambda=0.3, epochs=2, seed=6, window=3)
+        seen = []
+        best, _ = train(params, encoded, [], config,
+                        epoch_hook=lambda e, p: seen.append([t.scale for t in p.tables().values()]))
+        assert seen == [[1.0, 1.0], [1.0, 1.0]]
+        assert [t.scale for t in best.tables().values()] == [1.0, 1.0]
+
+    def test_only_touched_rows_are_written(self):
+        params, sent = tiny_instance(14)
+        _, _, grads = instance_gradients(sent, params, Trigger("hamming"), 8)
+        assert grads is not None and isinstance(grads["emb_bigram"], RowGrad)
+        before = params.bigram_table.vectors.copy()
+        sgd_step(params, grads, lr=0.1, l2_lambda=0.0)
+        changed = np.flatnonzero((params.bigram_table.vectors != before).any(axis=1))
+        assert set(changed) <= set(grads["emb_bigram"].rows.tolist())
+
+
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
         for mode, bigrams in (("positional", True), ("segfeat", True), ("positional", False)):
@@ -341,6 +418,16 @@ class TestSerialization:
         assert blob.count(b'"window":3') == 1
         open(path, "wb").write(blob.replace(b'"window":3', b'"window":5'))
         with pytest.raises(ModelShapeError):
+            load_model(path)
+
+    def test_undecodable_tensor_name(self, tmp_path):
+        params, _ = tiny_instance(10)
+        path = str(tmp_path / "m.bin")
+        save_model(params, path)
+        blob = bytearray(open(path, "rb").read())
+        blob[blob.index(b"emb_token")] = 0xFF
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(ModelShapeError, match="inventory"):
             load_model(path)
 
     def test_no_partial_file_on_save(self, tmp_path):

@@ -150,3 +150,10 @@ class TestTriggerType:
             Trigger("hamming", kappa=-0.1)
         with pytest.raises(ValueError):
             Trigger("integrated", beta=-1.0)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Trigger("hamming", kappa=bad)
+        with pytest.raises(ValueError, match="finite"):
+            Trigger("integrated", beta=bad)
