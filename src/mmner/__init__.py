@@ -35,6 +35,7 @@ from .training import (
     ModelTruncatedError,
     ModelVersionError,
     TrainConfig,
+    TrainingDivergedError,
     finite_difference_check,
     instance_loss,
     load_model,

@@ -2,8 +2,8 @@
 
 Configuration is a flat UTF-8 file of "key = value" lines ('#' starts a
 comment, unknown keys are hard errors); command-line flags override file
-values. Exit codes: 0 success, 1 internal/check failure, 2 usage or input
-error.
+values. Exit codes: 0 success, 1 internal/check failure (a diverging run
+too), 2 usage or input error (a bad setting value too).
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .corpus import (
 )
 from .embeddings import EmbeddingFormatError, load_pretrained
 from .evaluation import evaluate, gold_entity_surfaces, render_report
-from .model import D_FEATURE, D_TOKEN, HIDDEN_DIM, ModelMeta, init_params
+from .model import D_FEATURE, D_TOKEN, HIDDEN_DIM, WINDOW, ModelMeta, init_params
 from .synthetic import tiny_instance
 from .training import (
     DEFAULT_BEAM_K,
@@ -47,7 +49,7 @@ from .training import (
     save_model,
     train,
 )
-from .triggers import DEFAULT_BETA, DEFAULT_KAPPA, TRIGGER_KINDS, Trigger
+from .triggers import DEFAULT_BETA, DEFAULT_KAPPA, INTEGRATED, TRIGGER_KINDS, Trigger
 
 GRADCHECK_TOL = 1e-4
 
@@ -56,12 +58,52 @@ class CliError(Exception):
     """Usage or input problem; maps to exit code 2."""
 
 
-PATH_KEYS = ("train", "dev", "test", "embeddings", "segmented-text", "model-out", "metrics-out")
-VALUE_KEYS = (
-    "trigger", "kappa", "beta", "beam-k", "lr", "decay", "l2",
-    "epochs", "seed", "window", "mode", "bigrams", "beta-sweep",
-)
-CONFIG_KEYS = frozenset(PATH_KEYS + VALUE_KEYS)
+def _on_off(value: str) -> bool:
+    if value not in ("on", "off"):
+        raise ValueError(f"expected 'on' or 'off', got {value!r}")
+    return value == "on"
+
+
+def _floats(value: str) -> list[float]:
+    values = [float(x) for x in value.split(",") if x.strip()]
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One config key: its text converter (no range checks: Trigger,
+    TrainConfig and ModelMeta check their own fields), default and flag."""
+
+    convert: Callable[[str], Any] = str
+    default: Any = None
+    flag: bool = True  # also settable as --<key> on `mmner train`
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+PATH = Setting(flag=False)
+SETTINGS = {
+    "train": PATH, "dev": PATH, "test": PATH, "embeddings": PATH,
+    "model-out": PATH, "metrics-out": PATH,
+    "seed": Setting(int, DEFAULT_SEED),
+    "trigger": Setting(str, INTEGRATED, choices=TRIGGER_KINDS),
+    "kappa": Setting(float, DEFAULT_KAPPA),
+    "beta": Setting(float, DEFAULT_BETA),
+    "beam-k": Setting(int, DEFAULT_BEAM_K),
+    "lr": Setting(float, DEFAULT_LR),
+    "decay": Setting(float, DEFAULT_DECAY),
+    "l2": Setting(float, DEFAULT_L2),
+    "epochs": Setting(int, DEFAULT_EPOCHS),
+    "window": Setting(int, WINDOW),
+    "mode": Setting(str, MODE_POSITIONAL, choices=MODES),
+    "bigrams": Setting(_on_off, True, choices=("on", "off")),
+    "beta-sweep": Setting(_floats, help="comma-separated beta values; train each, print F1 table"),
+    "segmented-text": Setting(help="pre-segmented sentences (words space-separated, one per line)"),
+}
+CONFIG_KEYS = frozenset(SETTINGS)
+GRADCHECK_KEYS = ("seed", "trigger", "kappa", "beta", "mode", "bigrams")
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -81,23 +123,36 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
-def _setting(args, config: dict[str, str], key: str, default, convert):
-    """Flag value if given, else config-file value, else the default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in config:
+def _settings(args, config: dict[str, str]) -> dict[str, Any]:
+    """Every key's value: the flag if given, else the config file's, else the default."""
+    values = {}
+    for key, setting in SETTINGS.items():
+        text = getattr(args, key.replace("-", "_"), None)
+        if text is None:
+            text = config.get(key)
         try:
-            return convert(config[key])
+            values[key] = setting.default if text is None else setting.convert(text)
         except ValueError as exc:
-            raise CliError(f"config key {key!r}: {exc}") from None
-    return default
+            raise CliError(f"setting {key!r}: {exc}") from None
+    return values
 
 
-def _parse_bigrams(value: str) -> bool:
-    if value not in ("on", "off"):
-        raise ValueError(f"expected 'on' or 'off', got {value!r}")
-    return value == "on"
+@contextmanager
+def _usage_errors():
+    """Bad setting values surface as the ValueErrors of the types they
+    build; inside this block those become usage errors (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
+def _train_config(v: dict[str, Any]) -> TrainConfig:
+    return TrainConfig(
+        trigger=Trigger(v["trigger"], kappa=v["kappa"], beta=v["beta"]),
+        learning_rate=v["lr"], decay=v["decay"], l2_lambda=v["l2"], epochs=v["epochs"],
+        beam_k=v["beam-k"], seed=v["seed"], window=v["window"],
+    )
 
 
 def _read(path: str, what: str) -> str:
@@ -116,91 +171,59 @@ def _load_corpus(path: str, scheme: TagScheme, what: str) -> list[Sentence]:
     return sentences
 
 
-def _seg_map(args, config):
-    path = _setting(args, config, "segmented-text", None, str)
-    if path is None:
-        return None
-    return load_segmentation(_read(path, "segmented text"))
+def _load_labeled(path: str, scheme: TagScheme, what: str) -> list[Sentence]:
+    sentences = _load_corpus(path, scheme, what)
+    if any(s.gold_labels is None for s in sentences):
+        raise CliError(f"{what} file {path} must contain labeled sentences")
+    return sentences
 
 
-def _train_config(args, config) -> TrainConfig:
-    kind = _setting(args, config, "trigger", "integrated", str)
-    if kind not in TRIGGER_KINDS:
-        raise CliError(f"unknown trigger {kind!r}; pick one of {', '.join(TRIGGER_KINDS)}")
-    try:
-        return TrainConfig(
-            trigger=Trigger(
-                kind,
-                kappa=_setting(args, config, "kappa", DEFAULT_KAPPA, float),
-                beta=_setting(args, config, "beta", DEFAULT_BETA, float),
-            ),
-            learning_rate=_setting(args, config, "lr", DEFAULT_LR, float),
-            decay=_setting(args, config, "decay", DEFAULT_DECAY, float),
-            l2_lambda=_setting(args, config, "l2", DEFAULT_L2, float),
-            epochs=_setting(args, config, "epochs", DEFAULT_EPOCHS, int),
-            beam_k=_setting(args, config, "beam-k", DEFAULT_BEAM_K, int),
-            seed=_setting(args, config, "seed", DEFAULT_SEED, int),
-            window=_setting(args, config, "window", 5, int),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+def _seg_map(path: str | None):
+    return load_segmentation(_read(path, "segmented text")) if path else None
 
 
 def cmd_train(args) -> int:
     config = parse_config(_read(args.config, "config")) if args.config else {}
-    tc = _train_config(args, config)
-    mode = _setting(args, config, "mode", MODE_POSITIONAL, str)
-    if mode not in MODES:
-        raise CliError(f"unknown mode {mode!r}; pick one of {', '.join(MODES)}")
-    try:
-        bigrams = _parse_bigrams(_setting(args, config, "bigrams", "on", str))
-    except ValueError as exc:
-        raise CliError(f"config key 'bigrams': {exc}") from None
-
-    train_path = _setting(args, config, "train", None, str)
-    if train_path is None:
-        raise CliError("no training file configured (key 'train')")
-    model_out = _setting(args, config, "model-out", None, str)
-    if model_out is None:
-        raise CliError("no model output path configured (key 'model-out')")
-    metrics_out = _setting(args, config, "metrics-out", model_out + ".log", str)
-
+    v = _settings(args, config)
+    mode, bigrams, model_out = v["mode"], v["bigrams"], v["model-out"]
     scheme = TagScheme.from_entity_types()
-    train_raw = _load_corpus(train_path, scheme, "training")
-    if not train_raw or any(s.gold_labels is None for s in train_raw):
-        raise CliError(f"training file {train_path} must contain labeled sentences")
-    dev_path = _setting(args, config, "dev", None, str)
-    dev_raw = _load_corpus(dev_path, scheme, "dev") if dev_path else []
-    if any(s.gold_labels is None for s in dev_raw):
-        raise CliError(f"dev file {dev_path} must contain labeled sentences")
-    seg_map = _seg_map(args, config)
-
-    token_strings, bigram_strings = vocab_sources(train_raw, seg_map, mode, bigrams)
-    token_vocab = build_vocab(token_strings)
-    bigram_vocab = build_vocab(bigram_strings) if bigrams else None
-    meta = ModelMeta(
-        scheme=scheme, mode=mode, bigrams=bigrams, window=tc.window,
-        d_token=D_TOKEN, d_feature=D_FEATURE, hidden_dim=HIDDEN_DIM,
-        token_itos=tuple(token_vocab.itos),
-        bigram_itos=tuple(bigram_vocab.itos) if bigram_vocab else (),
-    )
+    with _usage_errors():
+        tc = _train_config(v)
+        sweep = [replace(tc, trigger=replace(tc.trigger, kind=INTEGRATED, beta=beta))
+                 for beta in v["beta-sweep"] or ()]
+        for key in ("train", "model-out"):
+            if v[key] is None:
+                raise CliError(f"no {key} path configured (key {key!r})")
+        train_raw = _load_labeled(v["train"], scheme, "training")
+        if not train_raw:
+            raise CliError(f"training file {v['train']} must contain labeled sentences")
+        dev_raw = _load_labeled(v["dev"], scheme, "dev") if v["dev"] else []
+        seg_map = _seg_map(v["segmented-text"])
+        token_strings, bigram_strings = vocab_sources(train_raw, seg_map, mode, bigrams)
+        token_vocab = build_vocab(token_strings)
+        bigram_vocab = build_vocab(bigram_strings) if bigrams else None
+        meta = ModelMeta(
+            scheme=scheme, mode=mode, bigrams=bigrams, window=tc.window,
+            d_token=D_TOKEN, d_feature=D_FEATURE, hidden_dim=HIDDEN_DIM,
+            token_itos=tuple(token_vocab.itos),
+            bigram_itos=tuple(bigram_vocab.itos) if bigram_vocab else (),
+        )
     rng = np.random.default_rng(tc.seed)
     token_table = None
-    emb_path = _setting(args, config, "embeddings", None, str)
-    if emb_path:
-        token_table = load_pretrained(_read(emb_path, "embeddings"), token_vocab, D_TOKEN, rng)
+    if v["embeddings"]:
+        text = _read(v["embeddings"], "embeddings")
+        token_table = load_pretrained(text, token_vocab, D_TOKEN, rng)
     params = init_params(meta, rng, token_table)
 
     vocabs = meta.feature_vocabs()
     train_set = encode_corpus(train_raw, seg_map, mode, bigrams, token_vocab, vocabs)
     dev_set = encode_corpus(dev_raw, seg_map, mode, bigrams, token_vocab, vocabs)
-
-    sweep = _setting(args, config, "beta-sweep", None, str)
-    if sweep is not None:
-        return _beta_sweep(sweep, params, train_set, dev_set, tc)
+    if sweep:
+        return _beta_sweep(sweep, params, train_set, dev_set)
 
     best, log = train(params, train_set, dev_set, tc)
     save_model(best, model_out)
+    metrics_out = model_out + ".log" if v["metrics-out"] is None else v["metrics-out"]
     with open(metrics_out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(log) + "\n")
     for line in log:
@@ -208,11 +231,8 @@ def cmd_train(args) -> int:
     if dev_set:
         preds = [predict_labels(s, best) for s in dev_set]
         print(render_report(evaluate(dev_set, preds, scheme)))
-    test_path = _setting(args, config, "test", None, str)
-    if test_path:
-        test_raw = _load_corpus(test_path, scheme, "test")
-        if any(s.gold_labels is None for s in test_raw):
-            raise CliError(f"test file {test_path} must contain labeled sentences")
+    if v["test"]:
+        test_raw = _load_labeled(v["test"], scheme, "test")
         test_set = encode_corpus(test_raw, seg_map, mode, bigrams, token_vocab, vocabs)
         preds = [predict_labels(s, best) for s in test_set]
         surfaces = gold_entity_surfaces(train_raw, scheme)
@@ -222,30 +242,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _beta_sweep(sweep: str, params, train_set, dev_set, tc: TrainConfig) -> int:
-    try:
-        betas = [float(x) for x in sweep.split(",") if x.strip()]
-    except ValueError:
-        raise CliError(f"bad --beta-sweep list {sweep!r}") from None
-    if not betas:
-        raise CliError("empty --beta-sweep list")
+def _beta_sweep(configs: list[TrainConfig], params, train_set, dev_set) -> int:
     eval_set = dev_set if dev_set else train_set
     print("beta\toverall_f1")
-    for beta in betas:
-        cfg = replace(tc, trigger=Trigger("integrated", kappa=tc.trigger.kappa, beta=beta))
+    for cfg in configs:
         best, _ = train(params.copy(), train_set, dev_set, cfg)
         preds = [predict_labels(s, best) for s in eval_set]
         report = evaluate(eval_set, preds, params.meta.scheme)
-        print(f"{beta:g}\t{report.overall_f1:.4f}")
+        print(f"{cfg.trigger.beta:g}\t{report.overall_f1:.4f}")
     return 0
 
 
 def _encode_for_model(sentences, params, seg_path):
     meta = params.meta
-    seg_map = load_segmentation(_read(seg_path, "segmented text")) if seg_path else None
-    return encode_corpus(
-        sentences, seg_map, meta.mode, meta.bigrams, meta.token_vocab, meta.feature_vocabs()
-    )
+    return encode_corpus(sentences, _seg_map(seg_path), meta.mode, meta.bigrams,
+                         meta.token_vocab, meta.feature_vocabs())
 
 
 def cmd_predict(args) -> int:
@@ -267,9 +278,7 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     params = load_model(args.model)
     scheme = params.meta.scheme
-    gold = _load_corpus(args.gold, scheme, "gold")
-    if any(s.gold_labels is None for s in gold):
-        raise CliError(f"gold file {args.gold} must contain labels")
+    gold = _load_labeled(args.gold, scheme, "gold")
     encoded = _encode_for_model(gold, params, args.segmented_text)
     preds = [predict_labels(s, params) for s in encoded]
     train_surfaces = None
@@ -282,25 +291,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    kind = args.trigger or "integrated"
-    if kind not in TRIGGER_KINDS:
-        raise CliError(f"unknown trigger {kind!r}")
-    trigger = Trigger(
-        kind,
-        kappa=args.kappa if args.kappa is not None else DEFAULT_KAPPA,
-        beta=args.beta if args.beta is not None else DEFAULT_BETA,
-    )
-    mode = args.mode or MODE_POSITIONAL
-    bigrams = _parse_bigrams(args.bigrams) if args.bigrams else True
-
-    params = sentence = None
+    v = _settings(args, {})
+    with _usage_errors():
+        tc = _train_config(v)
     for attempt in range(50):
-        params, sentence = tiny_instance(seed + 1000 * attempt, mode=mode, bigrams=bigrams)
-        if augmented_gap(sentence, params, trigger) >= 1e-3:
+        params, sentence = tiny_instance(tc.seed + 1000 * attempt, mode=v["mode"],
+                                         bigrams=v["bigrams"])
+        if augmented_gap(sentence, params, tc.trigger) >= 1e-3:
             break
+    names = params.named_tensors()
+    if args.corrupt is not None and args.corrupt not in names:
+        raise CliError(f"unknown tensor {args.corrupt!r}; pick one of {', '.join(names)}")
     beam_k = params.meta.scheme.n_labels ** len(sentence)
-    report = finite_difference_check(sentence, params, trigger, beam_k, corrupt=args.corrupt)
+    report = finite_difference_check(sentence, params, tc.trigger, beam_k, corrupt=args.corrupt)
     for name, err in report.per_tensor.items():
         status = "ok" if err <= GRADCHECK_TOL else "FAIL"
         print(f"{name:<12} max rel err {err:.3e}  {status}")
@@ -312,24 +315,9 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value configuration file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trigger", choices=TRIGGER_KINDS)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--beam-k", dest="beam_k", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--decay", type=float)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--bigrams", choices=("on", "off"))
-    p.add_argument("--beta-sweep", dest="beta_sweep",
-                   help="comma-separated beta values; train each, print F1 table")
-    p.add_argument("--segmented-text", dest="segmented_text",
-                   help="pre-segmented sentences (words space-separated, one per line)")
+def _add_flags(p: argparse.ArgumentParser, keys) -> None:
+    for key in keys:
+        p.add_argument(f"--{key}", choices=SETTINGS[key].choices, help=SETTINGS[key].help)
 
 
 def main(argv=None) -> int:
@@ -340,7 +328,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model from a config file")
-    _add_train_flags(p_train)
+    p_train.add_argument("--config", help="flat key = value configuration file")
+    _add_flags(p_train, [key for key, setting in SETTINGS.items() if setting.flag])
 
     p_pred = sub.add_parser("predict", help="label a corpus with a trained model")
     p_pred.add_argument("model")
@@ -356,12 +345,7 @@ def main(argv=None) -> int:
     p_eval.add_argument("--tsv", action="store_true", help="machine-readable output")
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")
-    p_gc.add_argument("--seed", type=int)
-    p_gc.add_argument("--trigger", choices=TRIGGER_KINDS)
-    p_gc.add_argument("--kappa", type=float)
-    p_gc.add_argument("--beta", type=float)
-    p_gc.add_argument("--mode", choices=MODES)
-    p_gc.add_argument("--bigrams", choices=("on", "off"))
+    _add_flags(p_gc, GRADCHECK_KEYS)
     p_gc.add_argument("--corrupt", help="tensor name whose analytic gradient is sabotaged")
 
     args = parser.parse_args(argv)

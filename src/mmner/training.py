@@ -26,7 +26,7 @@ import numpy as np
 from .corpus import Sentence, TagScheme
 from .embeddings import EmbeddingTable, RowGrad
 from .evaluation import evaluate
-from .model import ModelMeta, ModelParams
+from .model import WINDOW, ModelMeta, ModelParams
 from .network import (
     EmissionMatrix,
     LstmParams,
@@ -55,17 +55,23 @@ class TrainConfig:
     epochs: int = DEFAULT_EPOCHS
     beam_k: int = DEFAULT_BEAM_K
     seed: int = DEFAULT_SEED
-    window: int = 5
+    window: int = WINDOW
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
         if not 0 < self.decay <= 1:
             raise ValueError("decay must be in (0, 1]")
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be non-negative")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ValueError("l2_lambda must be finite and non-negative")
         if self.epochs < 1 or self.beam_k < 1:
             raise ValueError("epochs and beam_k must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+
+
+class TrainingDivergedError(ValueError):
+    """An instance loss became non-finite: the parameters overflowed."""
 
 
 def trainable_tensors(params: ModelParams) -> dict[str, np.ndarray]:
@@ -113,7 +119,7 @@ def _augmented_best(
     if not any(c.labels == gold for c in candidates):
         candidates.append(ScoredSequence(list(gold), sentence_score(em, trans, gold)))
     vit_labels = candidates[0].labels
-    best_labels, best_aug = None, -np.inf
+    best_labels, best_aug = vit_labels, -np.inf
     for cand in candidates:
         aug = cand.score + trigger.delta(gold, cand.labels, scheme)
         if aug > best_aug:
@@ -240,13 +246,14 @@ def train(
     tab-separated; dev columns are "-" when the dev set is empty (the last
     epoch then wins). ``epoch_hook(epoch, params)`` may return True to stop
     after the current epoch; the best snapshot so far is still returned.
+    The snapshot is always a copy, never ``params`` itself. A non-finite
+    instance loss raises :class:`TrainingDivergedError`.
     """
     if not train_set:
         raise ValueError("empty training set")
     scheme = params.meta.scheme
     rng = np.random.default_rng(config.seed)
-    best = params.copy()
-    best_f1 = -1.0
+    best, best_f1 = None, -1.0
     log: list[str] = []
     for epoch in range(config.epochs):
         lr = config.learning_rate * config.decay ** epoch
@@ -254,6 +261,9 @@ def train(
         total_q = 0.0
         for i in order:
             q, _, grads = instance_gradients(train_set[int(i)], params, config.trigger, config.beam_k)
+            if not math.isfinite(q):
+                raise TrainingDivergedError(
+                    f"training diverged: instance loss {q} at epoch {epoch}, sentence {int(i)}")
             total_q += q
             sgd_step(params, grads, lr, config.l2_lambda)
         params.fold()
@@ -263,16 +273,15 @@ def train(
             overall = report.overall_f1
             cols = [f"{f:.4f}" for f in
                     (report.groups["named"].f1, report.groups["nominal"].f1, overall)]
-            if overall > best_f1:
+            if overall > best_f1:  # F1 >= 0, so the first epoch always counts
                 best_f1 = overall
                 best = params.copy()
         else:
             cols = ["-", "-", "-"]
-            best = params.copy()
         log.append("\t".join([str(epoch), f"{lr:.10g}", f"{mean_q:.6f}", *cols]))
         if epoch_hook is not None and epoch_hook(epoch, params):
             break
-    return best, log
+    return (best if dev_set else params.copy()), log
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +432,10 @@ def load_model(path: str) -> ModelParams:
         (rank,) = reader.unpack("<B")
         shape = reader.unpack(f"<{rank}Q")
         data = reader.take(8 * math.prod(shape))
-        tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        try:
+            tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:  # numpy caps the rank (at 64)
+            raise ModelShapeError(f"tensor {name}: {exc}") from None
     if reader.pos != len(reader.blob):
         raise ModelShapeError(f"{len(reader.blob) - reader.pos} trailing bytes after last tensor")
 

@@ -34,7 +34,8 @@ class Trigger:
 
     def __post_init__(self):
         if self.kind not in TRIGGER_KINDS:
-            raise ValueError(f"unknown trigger kind {self.kind!r}")
+            kinds = ", ".join(TRIGGER_KINDS)
+            raise ValueError(f"unknown trigger {self.kind!r}; pick one of {kinds}")
         if not all(math.isfinite(v) and v >= 0.0 for v in (self.kappa, self.beta)):
             raise ValueError("kappa and beta must be finite and non-negative")
 

@@ -305,6 +305,42 @@ class TestGradcheck:
         assert "FAILED" in capsys.readouterr().out
 
 
+class TestBadSettings:
+    @pytest.mark.parametrize("argv, config, says", [
+        (["train", "--window", "4"], {}, "window"),
+        (["train", "--window", "0"], {}, "window"),
+        (["train", "--seed", "-1"], {}, "seed"),
+        (["train", "--lr", "nan"], {}, "learning_rate"),
+        (["train", "--lr", "inf"], {}, "learning_rate"),
+        (["train", "--l2", "inf"], {}, "l2_lambda"),
+        (["train", "--decay", "nan"], {}, "decay"),
+        (["train", "--epochs", "0"], {}, "epochs"),
+        (["train", "--kappa", "inf"], {}, "kappa"),
+        (["train"], {"mode": "bogus"}, "bogus"),
+        (["train"], {"bigrams": "maybe"}, "bigrams"),
+        (["gradcheck", "--seed", "-1"], None, "seed"),
+        (["gradcheck", "--corrupt", "nosuch"], None, "proj_b"),
+    ])
+    def test_exits_2_with_an_error_line(self, tmp_path, corpus_files, capsys, argv, config, says):
+        if config is not None:
+            cfg = write_config(tmp_path / "c.cfg", train=str(corpus_files / "train.conll"),
+                               model_out=str(tmp_path / "m.bin"), **config)
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv) == 2  # an exception escaping main would be a traceback
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert says in err
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exits_1(self, tmp_path, corpus_files, capsys):
+        cfg = write_config(tmp_path / "d.cfg", train=str(corpus_files / "train.conll"),
+                           model_out=str(tmp_path / "m.bin"), l2="1e308")
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: training diverged")
+        assert not (tmp_path / "m.bin").exists()
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit):

@@ -6,6 +6,7 @@ import pytest
 
 from mmner.corpus import TagScheme
 from mmner.embeddings import SCALE_FLOOR, RowGrad
+from mmner.model import ModelParams
 from mmner.network import EmissionMatrix, forward_sentence
 from mmner.structured import sentence_score, viterbi
 from mmner.synthetic import synthetic_corpus, tiny_instance
@@ -14,6 +15,7 @@ from mmner.training import (
     ModelTruncatedError,
     ModelVersionError,
     TrainConfig,
+    TrainingDivergedError,
     _augmented_best,
     augmented_gap,
     finite_difference_check,
@@ -131,6 +133,14 @@ class TestInstanceLossHandCases:
                 expect, expect_aug = augmented_argmax(em, trans, gold, kind, scheme, 0.2, 0.2)
                 assert labels == expect
                 assert aug == pytest.approx(expect_aug, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["hamming", "fscore", "integrated"])
+    def test_non_finite_scores_still_give_a_candidate(self, kind):
+        em = EmissionMatrix(np.full((3, 2), np.nan), np.full((3, 2), np.nan))
+        trans = np.zeros((3, 2))
+        labels, aug = _augmented_best([0, 1, 0], em, trans, Trigger(kind), self.SCHEME2, 4)
+        assert len(labels) == 3
+        assert not math.isfinite(aug - sentence_score(em, trans, [0, 1, 0]))
 
 
 class TestInstanceLoss:
@@ -282,6 +292,26 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(params, [], [], config)
 
+    def test_one_copy_without_dev(self, monkeypatch):
+        params, encoded, config = self.make_setup(epochs=3)
+        real_copy, calls = ModelParams.copy, []
+
+        def counting_copy(self):
+            calls.append(self)
+            return real_copy(self)
+
+        monkeypatch.setattr(ModelParams, "copy", counting_copy)
+        best, _ = train(params, encoded, [], config)
+        assert len(calls) == 1
+        assert best is not params
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_epoch_and_sentence(self):
+        params, encoded, _ = self.make_setup()
+        config = TrainConfig(Trigger("integrated"), l2_lambda=1e308, epochs=2, window=3)
+        with pytest.raises(TrainingDivergedError, match=r"epoch 0, sentence \d+"):
+            train(params, encoded, [], config)
+
 
 def dense_decay_train(params, dataset, config):
     """Reference loop: train's shuffling and gradients, with the L2 decay
@@ -428,6 +458,18 @@ class TestSerialization:
         blob[blob.index(b"emb_token")] = 0xFF
         open(path, "wb").write(bytes(blob))
         with pytest.raises(ModelShapeError, match="inventory"):
+            load_model(path)
+
+    def test_rank_beyond_numpy_limit(self, tmp_path):
+        params, _ = tiny_instance(10)
+        path = str(tmp_path / "m.bin")
+        save_model(params, path)
+        blob = open(path, "rb").read()
+        (meta_len,) = struct.unpack("<I", blob[12:16])
+        tensor = (struct.pack("<H", 9) + b"emb_token" + struct.pack("<B", 65)
+                  + struct.pack("<65Q", *[1] * 65) + bytes(8))
+        open(path, "wb").write(blob[:16 + meta_len] + struct.pack("<I", 1) + tensor)
+        with pytest.raises(ModelShapeError, match="emb_token"):
             load_model(path)
 
     def test_no_partial_file_on_save(self, tmp_path):
