@@ -160,8 +160,11 @@ def _read(path: str, what: str) -> str:
         raise CliError(f"no {what} path given")
     if not os.path.exists(path):
         raise CliError(f"{what} file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{what} file {path} is not UTF-8: {exc}") from None
 
 
 def _load_corpus(path: str, scheme: TagScheme, what: str) -> list[Sentence]:

@@ -135,12 +135,16 @@ def load_pretrained(text, vocab: Vocab, dim: int, rng: np.random.Generator) -> E
             vec = np.array([float(x) for x in components])
         except ValueError:
             raise EmbeddingFormatError(f"line {lineno}: non-numeric component") from None
+        if not np.isfinite(vec).all():
+            raise EmbeddingFormatError(f"line {lineno}: non-finite component")
         total += vec
         n_read += 1
         idx = vocab.index(word)
         if idx > PAD_INDEX:
             table.vectors[idx] = vec
 
+    if not np.isfinite(total).all():
+        raise EmbeddingFormatError("vector components too large: their sum overflows")
     table.vectors[UNK_INDEX] = total / n_read if n_read else 0.0
     return table
 

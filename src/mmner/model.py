@@ -9,9 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import (
-    MODE_SEGFEAT,
     MODES,
+    PAD,
     SEG_VOCAB,
+    UNK,
     TagScheme,
     Vocab,
     slot_kinds,
@@ -23,6 +24,10 @@ D_TOKEN = 100
 D_FEATURE = 100
 HIDDEN_DIM = 100
 WINDOW = 5
+
+# The optional embedding tables, in tensor order: ModelParams.seg_table and
+# .bigram_table. Which of them a model has is ModelMeta.tensor_shapes()'s call.
+FEATURE_TABLES = ("emb_seg", "emb_bigram")
 
 
 @dataclass(frozen=True)
@@ -41,12 +46,18 @@ class ModelMeta:
 
     def __post_init__(self):
         sizes = (self.window, self.d_token, self.d_feature, self.hidden_dim)
+        if any(type(v) is not int for v in sizes) or type(self.bigrams) is not bool:
+            raise ValueError("window and dimensions must be integers, bigrams a boolean")
         if min(sizes) < 1 or self.window % 2 == 0:
             raise ValueError("window and dimensions must be positive, the window odd")
         if self.mode not in MODES:
             raise ValueError(f"unknown representation mode {self.mode!r}")
-        if self.bigrams != bool(self.bigram_itos):
+        if self.bigrams != (len(self.bigram_itos) > 0):
             raise ValueError("bigram vocabulary must be present iff bigrams are enabled")
+        vocabs = (self.token_itos, self.bigram_itos) if self.bigrams else (self.token_itos,)
+        for itos in vocabs:
+            if tuple(itos[:2]) != (UNK, PAD) or len(set(itos)) != len(itos):
+                raise ValueError(f"a vocabulary must start with {UNK}, {PAD} and hold no duplicate")
 
     @property
     def token_vocab(self) -> Vocab:
@@ -57,17 +68,28 @@ class ModelMeta:
         return Vocab.from_itos(list(self.bigram_itos)) if self.bigrams else None
 
     def feature_vocabs(self) -> dict[str, Vocab]:
-        vocabs: dict[str, Vocab] = {}
-        if self.mode == MODE_SEGFEAT:
-            vocabs["seg"] = SEG_VOCAB
-        if self.bigrams:
-            vocabs["bigram"] = self.bigram_vocab
-        return vocabs
+        """Vocabulary kind -> vocabulary of each feature table, in tensor order."""
+        vocabs = {"seg": SEG_VOCAB, "bigram": self.bigram_vocab}
+        return {kind: vocabs[kind] for kind in dict.fromkeys(slot_kinds(self.mode, self.bigrams))}
 
     @property
     def input_width(self) -> int:
         n_slots = len(slot_kinds(self.mode, self.bigrams))
         return self.window * self.d_token + n_slots * self.d_feature
+
+    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every tensor of the model, in the fixed tensor
+        (and file) order; the one statement of which tensors exist."""
+        width, h, n = self.input_width, self.hidden_dim, self.scheme.n_labels
+        shapes = {"emb_token": (len(self.token_itos), self.d_token)}
+        rows = {"seg": len(SEG_VOCAB), "bigram": len(self.bigram_itos)}
+        for kind in dict.fromkeys(slot_kinds(self.mode, self.bigrams)):
+            shapes[f"emb_{kind}"] = (rows[kind], self.d_feature)
+        for direction in ("fwd", "bwd"):
+            shapes[f"lstm_{direction}_w"] = (4 * h, width + h)
+            shapes[f"lstm_{direction}_b"] = (4 * h,)
+        shapes.update(proj_w=(n, 2 * h), proj_b=(n,), transitions=(n + 1, n))
+        return shapes
 
 
 @dataclass
@@ -84,18 +106,19 @@ class ModelParams:
     transitions: np.ndarray
 
     def __post_init__(self):
-        n = self.meta.scheme.n_labels
-        if self.transitions.shape != (n + 1, n):
-            raise ValueError(f"transition matrix must be {(n + 1, n)}, got {self.transitions.shape}")
+        expected = self.meta.tensor_shapes()
+        found = {name: table.vectors.shape for name, table in self.tables().items()}
+        found.update((name, arr.shape) for name, arr in self.dense_tensors().items())
+        for name in [*expected, *found]:
+            if expected.get(name) != found.get(name):
+                raise ValueError(f"tensor {name}: expected shape {expected.get(name)}, "
+                                 f"found {found.get(name)}")
 
     def tables(self) -> dict[str, EmbeddingTable]:
         """Tensor name -> embedding table, in the fixed tensor order."""
-        out = {"emb_token": self.token_table}
-        if self.seg_table is not None:
-            out["emb_seg"] = self.seg_table
-        if self.bigram_table is not None:
-            out["emb_bigram"] = self.bigram_table
-        return out
+        tables = {"emb_token": self.token_table, "emb_seg": self.seg_table,
+                  "emb_bigram": self.bigram_table}
+        return {name: table for name, table in tables.items() if table is not None}
 
     def dense_tensors(self) -> dict[str, np.ndarray]:
         return {
@@ -140,20 +163,13 @@ def init_params(
 ) -> ModelParams:
     """Fresh model: random embeddings (unless a pretrained token table is
     given), scaled-uniform LSTM/projection weights, zero transition scores."""
+    shapes = meta.tensor_shapes()
     if token_table is None:
-        token_table = random_table(len(meta.token_itos), meta.d_token, rng)
-    elif token_table.size != len(meta.token_itos) or token_table.dim != meta.d_token:
-        raise ValueError("token table does not match the metadata's vocabulary/dimension")
-    seg_table = None
-    if meta.mode == MODE_SEGFEAT:
-        seg_table = random_table(len(SEG_VOCAB), meta.d_feature, rng)
-    bigram_table = None
-    if meta.bigrams:
-        bigram_table = random_table(len(meta.bigram_itos), meta.d_feature, rng)
+        token_table = random_table(*shapes["emb_token"], rng)
+    features = {name: random_table(*shapes[name], rng) for name in FEATURE_TABLES if name in shapes}
     width = meta.input_width
     fwd = LstmParams.init(width, meta.hidden_dim, rng)
     bwd = LstmParams.init(width, meta.hidden_dim, rng)
     proj = ProjectionParams.init(meta.scheme.n_labels, 2 * meta.hidden_dim, rng)
-    transitions = np.zeros((meta.scheme.n_labels + 1, meta.scheme.n_labels))
-    return ModelParams(meta, token_table, seg_table, bigram_table, fwd, bwd, proj, transitions)
-
+    return ModelParams(meta, token_table, features.get("emb_seg"), features.get("emb_bigram"),
+                       fwd, bwd, proj, np.zeros(shapes["transitions"]))

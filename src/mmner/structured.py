@@ -100,11 +100,9 @@ def beam_topk(em: EmissionMatrix, trans: np.ndarray, k: int) -> list[ScoredSeque
         grown.sort(key=lambda item: (-item[0], item[1]))
         beam = grown[:k]
 
+    # the beam is in (-score, labels) order, and its prefix scores are summed
+    # in sentence_score's order, so they are exact as they stand
     vit = viterbi(em, trans)
-    rest = [
-        ScoredSequence(list(prefix), sentence_score(em, trans, prefix))
-        for _, prefix in beam
-        if list(prefix) != vit.labels
-    ]
-    rest.sort(key=lambda s: (-s.score, s.labels))
+    rest = [ScoredSequence(list(prefix), score) for score, prefix in beam
+            if list(prefix) != vit.labels]
     return [vit] + rest[: k - 1]

@@ -19,14 +19,14 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .corpus import Sentence, TagScheme
 from .embeddings import EmbeddingTable, RowGrad
 from .evaluation import evaluate
-from .model import WINDOW, ModelMeta, ModelParams
+from .model import FEATURE_TABLES, WINDOW, ModelMeta, ModelParams
 from .network import (
     EmissionMatrix,
     LstmParams,
@@ -98,6 +98,17 @@ def _hamming_augmented(em: EmissionMatrix, gold: list[int], kappa: float) -> Emi
     return EmissionMatrix(em.probs, em.log_probs + cost)
 
 
+def _ranked(
+    candidates: list[ScoredSequence], gold: list[int], trigger: Trigger, scheme: TagScheme
+) -> list[tuple[float, list[int]]]:
+    """(s + Delta, labels) of each candidate, best first. Ties: the first
+    candidate (the plain Viterbi sequence) wins any tie it attains, otherwise
+    the lexicographically smaller label sequence does."""
+    vit = candidates[0].labels
+    scored = [(c.score + trigger.delta(gold, c.labels, scheme), c.labels) for c in candidates]
+    return sorted(scored, key=lambda item: (-item[0], item[1] != vit, item[1]))
+
+
 def _augmented_best(
     gold: list[int],
     em: EmissionMatrix,
@@ -106,11 +117,8 @@ def _augmented_best(
     scheme: TagScheme,
     beam_k: int,
 ) -> tuple[list[int], float]:
-    """Maximize s + Delta; returns (labels, augmented score).
-
-    Ties: the plain Viterbi sequence wins whenever it attains the max,
-    otherwise the lexicographically smaller label sequence does.
-    """
+    """Maximize s + Delta; returns (labels, augmented score), ties as in
+    :func:`_ranked`."""
     if not trigger.needs_rerank:
         best = viterbi(_hamming_augmented(em, gold, trigger.kappa), trans)
         return best.labels, best.score
@@ -118,16 +126,8 @@ def _augmented_best(
     candidates = beam_topk(em, trans, beam_k)
     if not any(c.labels == gold for c in candidates):
         candidates.append(ScoredSequence(list(gold), sentence_score(em, trans, gold)))
-    vit_labels = candidates[0].labels
-    best_labels, best_aug = vit_labels, -np.inf
-    for cand in candidates:
-        aug = cand.score + trigger.delta(gold, cand.labels, scheme)
-        if aug > best_aug:
-            best_labels, best_aug = cand.labels, aug
-        elif aug == best_aug and best_labels != vit_labels:
-            if cand.labels == vit_labels or cand.labels < best_labels:
-                best_labels = cand.labels
-    return best_labels, best_aug
+    aug, labels = _ranked(candidates, gold, trigger, scheme)[0]
+    return labels, aug
 
 
 def loss_augmented_predict(
@@ -307,21 +307,14 @@ class ModelShapeError(ModelIOError):
     """Tensor inventory or shapes disagree with the metadata."""
 
 
+# the metadata block holds ModelMeta's fields, the scheme's and token_trainable
+META_FIELDS = [f.name for f in fields(ModelMeta) if f.name != "scheme"]
+
+
 def _meta_to_json(meta: ModelMeta, token_trainable: bool) -> bytes:
-    doc = {
-        "labels": list(meta.scheme.labels),
-        "entity_types": [list(pair) for pair in meta.scheme.entity_types],
-        "outside": meta.scheme.outside_label,
-        "mode": meta.mode,
-        "bigrams": meta.bigrams,
-        "window": meta.window,
-        "d_token": meta.d_token,
-        "d_feature": meta.d_feature,
-        "hidden_dim": meta.hidden_dim,
-        "token_itos": list(meta.token_itos),
-        "bigram_itos": list(meta.bigram_itos),
-        "token_trainable": token_trainable,
-    }
+    doc = {name: getattr(meta, name) for name in META_FIELDS}
+    doc.update(labels=meta.scheme.labels, entity_types=meta.scheme.entity_types,
+               outside=meta.scheme.outside_label, token_trainable=token_trainable)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
@@ -334,17 +327,10 @@ def _meta_from_json(blob: bytes) -> tuple[ModelMeta, bool]:
         tuple((c, k) for c, k in doc["entity_types"]),
         doc["outside"],
     )
-    meta = ModelMeta(
-        scheme=scheme,
-        mode=doc["mode"],
-        bigrams=doc["bigrams"],
-        window=doc["window"],
-        d_token=doc["d_token"],
-        d_feature=doc["d_feature"],
-        hidden_dim=doc["hidden_dim"],
-        token_itos=tuple(doc["token_itos"]),
-        bigram_itos=tuple(doc["bigram_itos"]),
-    )
+    values = {name: doc[name] for name in META_FIELDS}
+    meta = ModelMeta(scheme, **{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+    if type(doc["token_trainable"]) is not bool:
+        raise ValueError("token_trainable must be a boolean")
     return meta, doc["token_trainable"]
 
 
@@ -390,26 +376,6 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def _expected_shapes(meta: ModelMeta) -> dict[str, tuple[int, ...]]:
-    width = meta.input_width
-    h, n = meta.hidden_dim, meta.scheme.n_labels
-    shapes = {"emb_token": (len(meta.token_itos), meta.d_token)}
-    if meta.mode == "segfeat":
-        from .corpus import SEG_VOCAB
-
-        shapes["emb_seg"] = (len(SEG_VOCAB), meta.d_feature)
-    if meta.bigrams:
-        shapes["emb_bigram"] = (len(meta.bigram_itos), meta.d_feature)
-    shapes["lstm_fwd_w"] = (4 * h, width + h)
-    shapes["lstm_fwd_b"] = (4 * h,)
-    shapes["lstm_bwd_w"] = (4 * h, width + h)
-    shapes["lstm_bwd_b"] = (4 * h,)
-    shapes["proj_w"] = (n, 2 * h)
-    shapes["proj_b"] = (n,)
-    shapes["transitions"] = (n + 1, n)
-    return shapes
-
-
 def load_model(path: str) -> ModelParams:
     """Read a model file back; inverse of :func:`save_model`, bit-exact."""
     with open(path, "rb") as fh:
@@ -439,30 +405,27 @@ def load_model(path: str) -> ModelParams:
     if reader.pos != len(reader.blob):
         raise ModelShapeError(f"{len(reader.blob) - reader.pos} trailing bytes after last tensor")
 
-    expected = _expected_shapes(meta)
+    expected = meta.tensor_shapes()
     if set(tensors) != set(expected):
         missing = sorted(set(expected) - set(tensors))
         extra = sorted(set(tensors) - set(expected))
         raise ModelShapeError(f"tensor inventory mismatch: missing {missing}, unexpected {extra}")
-    for name, shape in expected.items():
-        if tensors[name].shape != shape:
-            raise ModelShapeError(
-                f"tensor {name}: expected shape {shape}, found {tensors[name].shape}"
-            )
-
     width = meta.input_width
-    feature = {name: EmbeddingTable(meta.d_feature, tensors[name])
-               for name in ("emb_seg", "emb_bigram") if name in tensors}
-    return ModelParams(
-        meta=meta,
-        token_table=EmbeddingTable(meta.d_token, tensors["emb_token"], token_trainable),
-        seg_table=feature.get("emb_seg"),
-        bigram_table=feature.get("emb_bigram"),
-        fwd=LstmParams(width, meta.hidden_dim, tensors["lstm_fwd_w"], tensors["lstm_fwd_b"]),
-        bwd=LstmParams(width, meta.hidden_dim, tensors["lstm_bwd_w"], tensors["lstm_bwd_b"]),
-        proj=ProjectionParams(tensors["proj_w"], tensors["proj_b"]),
-        transitions=tensors["transitions"],
-    )
+    try:
+        features = {name: EmbeddingTable(meta.d_feature, tensors[name])
+                    for name in FEATURE_TABLES if name in tensors}
+        return ModelParams(
+            meta=meta,
+            token_table=EmbeddingTable(meta.d_token, tensors["emb_token"], token_trainable),
+            seg_table=features.get("emb_seg"),
+            bigram_table=features.get("emb_bigram"),
+            fwd=LstmParams(width, meta.hidden_dim, tensors["lstm_fwd_w"], tensors["lstm_fwd_b"]),
+            bwd=LstmParams(width, meta.hidden_dim, tensors["lstm_bwd_w"], tensors["lstm_bwd_b"]),
+            proj=ProjectionParams(tensors["proj_w"], tensors["proj_b"]),
+            transitions=tensors["transitions"],
+        )
+    except ValueError as exc:
+        raise ModelShapeError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +452,10 @@ def augmented_gap(sentence: Sentence, params: ModelParams, trigger: Trigger) -> 
     """Gap between the best and second-best augmented scores, over the full
     sequence space (exhaustive beam). Small gaps make q_i non-differentiable
     and finite differences meaningless; callers resample such instances."""
-    gold = sentence.gold_labels
     cache = _forward(sentence, params)
-    em, trans = cache.em, params.transitions
-    n_all = em.n_labels ** em.n
-    if not trigger.needs_rerank:
-        scored = beam_topk(_hamming_augmented(em, gold, trigger.kappa), trans, n_all)
-        return scored[0].score - scored[1].score if len(scored) > 1 else np.inf
-    augs = sorted(
-        (c.score + trigger.delta(gold, c.labels, params.meta.scheme)
-         for c in beam_topk(em, trans, n_all)),
-        reverse=True,
-    )
-    return augs[0] - augs[1] if len(augs) > 1 else np.inf
+    everything = beam_topk(cache.em, params.transitions, cache.em.n_labels ** cache.em.n)
+    ranked = _ranked(everything, sentence.gold_labels, trigger, params.meta.scheme)
+    return ranked[0][0] - ranked[1][0] if len(ranked) > 1 else np.inf
 
 
 def finite_difference_check(

@@ -14,8 +14,8 @@ import mmner
 
 from mmner.cli import main, parse_config, CliError
 from mmner.corpus import parse_conll, TagScheme
-from mmner.synthetic import synthetic_corpus, to_conll
-from mmner.training import load_model
+from mmner.synthetic import synthetic_corpus, tiny_instance, to_conll
+from mmner.training import load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -164,12 +164,28 @@ class TestTrain:
 
 
 def with_metadata(blob, patch):
-    """The model file ``blob`` with its metadata JSON updated by ``patch``
-    (or replaced by a JSON list when ``patch`` is None)."""
+    """The model file ``blob`` with its metadata JSON updated by ``patch``: a
+    dict of keys to set, a function that edits the document in place, or None
+    (the document becomes a JSON list)."""
     (meta_len,) = struct.unpack("<I", blob[12:16])
-    doc = [] if patch is None else {**json.loads(blob[16:16 + meta_len]), **patch}
+    doc = json.loads(blob[16:16 + meta_len])
+    if patch is None:
+        doc = []
+    elif callable(patch):
+        patch(doc)
+    else:
+        doc.update(patch)
     meta = json.dumps(doc).encode("utf-8")
     return blob[:12] + struct.pack("<I", len(meta)) + meta + blob[16 + meta_len:]
+
+
+def swap_reserved(itos):
+    itos[0], itos[1] = itos[1], itos[0]
+
+
+def repeat_entry(itos):
+    """Overwrite the last entry with the first regular one (length unchanged)."""
+    itos[-1] = itos[2]
 
 
 def run_cli(*argv):
@@ -213,6 +229,16 @@ class TestPredict:
     def test_missing_model(self, tmp_path, corpus_files, capsys):
         assert main(["predict", str(tmp_path / "no.bin"), str(corpus_files / "dev.conll")]) == 2
 
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "tiny.bin"
+        save_model(tiny_instance(3)[0], str(model))
+        latin1 = tmp_path / "latin1.conll"
+        latin1.write_bytes("caf\u00e9\tO\n".encode("latin-1"))
+        assert main(["predict", str(model), str(latin1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(latin1) in err and "UTF-8" in err
+
     @pytest.mark.parametrize("patch", [
         {"labels": 5},
         {"labels": [1, 2]},
@@ -223,9 +249,16 @@ class TestPredict:
         {"token_itos": None},
         {"bigrams": "off"},
         None,
+        pytest.param(lambda doc: swap_reserved(doc["token_itos"]), id="token-reserved-swapped"),
+        pytest.param(lambda doc: repeat_entry(doc["token_itos"]), id="token-entry-repeated"),
+        pytest.param(lambda doc: swap_reserved(doc["bigram_itos"]), id="bigram-reserved-swapped"),
+        pytest.param(lambda doc: repeat_entry(doc["bigram_itos"]), id="bigram-entry-repeated"),
+        pytest.param({"window": 3.0}, id="float-window"),
+        pytest.param({"bigrams": 1}, id="int-bigrams"),
+        pytest.param({"token_trainable": "no"}, id="string-token-trainable"),
     ])
     def test_malformed_metadata_exits_2_without_traceback(self, tmp_path, corpus_files, patch):
-        code, model = train_once(tmp_path, corpus_files)
+        code, model = train_once(tmp_path, corpus_files, bigrams="on")
         assert code == 0
         broken = tmp_path / "broken.bin"
         broken.write_bytes(with_metadata(model.read_bytes(), patch))

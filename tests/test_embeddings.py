@@ -66,6 +66,16 @@ class TestLoadPretrained:
         with pytest.raises(EmbeddingFormatError, match="line 1"):
             load_pretrained("a 1 oops 0", VOCAB, 3, np.random.default_rng(0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("text, says", [
+        ("a 1 0 0\nb 0 nan 0", "line 2: non-finite"),
+        ("a -inf 0 0", "line 1: non-finite"),
+        ("zzz 1e308 0 0\na 1e308 0 0", "overflows"),
+    ])
+    def test_non_finite_rejected(self, text, says):
+        with pytest.raises(EmbeddingFormatError, match=says):
+            load_pretrained(text, VOCAB, 3, np.random.default_rng(0))
+
     def test_no_header_file(self):
         # first line is a regular vector line, not a header
         table = load_pretrained("a 1 0 0\nb 0 1 0", VOCAB, 3, np.random.default_rng(0))

@@ -4,6 +4,9 @@ reader's own typed error may escape (the CLI maps those to exit code 2).
 The runs are derandomized, so the suite sees the same examples every time.
 """
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,3 +90,46 @@ def test_truncated_model_raises_only_model_io_error(model_file, data):
     path, blob = model_file
     cut = data.draw(st.integers(0, len(blob) - 1))
     _loads_or_model_io_error(path.with_name("truncated.bin"), blob[:cut])
+
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 40), st.floats(),
+                        st.text(max_size=4), st.lists(st.text(max_size=3), max_size=3))
+
+
+def _edit_metadata(doc, data):
+    """Drop or add a key, swap or duplicate a vocabulary entry, or retype a value."""
+    edit = data.draw(st.sampled_from(["drop", "add", "swap", "duplicate", "retype"]))
+    if edit == "add":
+        doc[data.draw(st.text(max_size=8))] = data.draw(JSON_VALUES)
+    elif edit in ("drop", "retype"):
+        key = data.draw(st.sampled_from(sorted(doc)))
+        if edit == "drop":
+            del doc[key]
+        else:
+            doc[key] = data.draw(JSON_VALUES)
+    else:
+        vocab = doc.get(data.draw(st.sampled_from(["token_itos", "bigram_itos"])))
+        if isinstance(vocab, list) and vocab:
+            i, j = data.draw(st.lists(st.integers(0, len(vocab) - 1), min_size=2, max_size=2))
+            if edit == "swap":
+                vocab[i], vocab[j] = vocab[j], vocab[i]
+            else:
+                vocab[i] = vocab[j]
+
+
+@FUZZ
+@given(st.data())
+def test_edited_metadata_raises_only_model_io_error(model_file, data):
+    path, blob = model_file
+    (meta_len,) = struct.unpack("<I", blob[12:16])
+    doc = json.loads(blob[16:16 + meta_len])
+    for _ in range(data.draw(st.integers(1, 3))):
+        _edit_metadata(doc, data)
+    meta = json.dumps(doc).encode("utf-8")
+    edited = path.with_name("edited.bin")
+    edited.write_bytes(blob[:12] + struct.pack("<I", len(meta)) + meta + blob[16 + meta_len:])
+    try:
+        params = load_model(str(edited))
+        params.meta.token_vocab, params.meta.feature_vocabs()
+    except ModelIOError:
+        pass

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -403,6 +404,18 @@ class TestSerialization:
             ):
                 assert n1 == n2
                 np.testing.assert_array_equal(a1, a2)
+
+    @pytest.mark.parametrize("mode, bigrams, digest", [
+        ("positional", True, "898a39637180c221188258fe318da3a4ae3a262e1c8e8f71dbff57d7a9998cbb"),
+        ("segfeat", True, "49b5304c70b2fbc246c1dc85ab9d7d87bc4ac9ee2de4ca62668f78c6f444fb6a"),
+        ("positional", False, "88460a63af5b37ab37277e12e24b2c4d45ecb73406ffe63cca0f1d0e2367b225"),
+    ])
+    def test_file_bytes_are_pinned(self, tmp_path, mode, bigrams, digest):
+        # the layout (tensor order, metadata keys, init draws) must not drift
+        params, _ = tiny_instance(8, mode=mode, bigrams=bigrams)
+        path = tmp_path / "m.bin"
+        save_model(params, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_save_is_deterministic(self, tmp_path):
         params, _ = tiny_instance(9)
