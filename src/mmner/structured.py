@@ -77,6 +77,10 @@ def beam_topk(em: EmissionMatrix, trans: np.ndarray, k: int) -> list[ScoredSeque
     the result is the full enumeration. The first element is always the
     Viterbi sequence (exact top-1, hoisted); the rest come in non-increasing
     score order, ties toward the lexicographically smaller label sequence.
+    The beam is held in lexicographic order, so one stable sort of the
+    flattened (beam x label) scores per position breaks ties that way too.
+    Scores add up in sentence_score's order; bit-identity with it (and with
+    the earlier tuple beam) holds for finite scores only.
     """
     n, n_labels = em.n, em.n_labels
     check_transitions(trans, n_labels)
@@ -85,24 +89,18 @@ def beam_topk(em: EmissionMatrix, trans: np.ndarray, k: int) -> list[ScoredSeque
     if n < 1:
         raise ValueError("empty emission matrix")
 
-    beam = [
-        (float(trans[n_labels, lab] + em.log_probs[0, lab]), (lab,))
-        for lab in range(n_labels)
-    ]
-    beam.sort(key=lambda item: (-item[0], item[1]))
-    beam = beam[:k]
-    for t in range(1, n):
-        grown = [
-            (score + float(trans[prefix[-1], lab] + em.log_probs[t, lab]), prefix + (lab,))
-            for score, prefix in beam
-            for lab in range(n_labels)
-        ]
-        grown.sort(key=lambda item: (-item[0], item[1]))
-        beam = grown[:k]
+    prev, scores = np.array([n_labels]), None  # the empty prefix sits on the start row
+    paths = np.empty((1, 0), dtype=np.intp)
+    for t in range(n):
+        step = trans[prev] + em.log_probs[t]  # (beam, label)
+        grown = (step if scores is None else scores[:, None] + step).ravel()
+        keep = np.sort(np.argsort(-grown, kind="stable")[:k])  # back to lexicographic
+        parent, prev = np.divmod(keep, n_labels)
+        paths, scores = np.column_stack((paths[parent], prev)), grown[keep]
 
-    # the beam is in (-score, labels) order, and its prefix scores are summed
-    # in sentence_score's order, so they are exact as they stand
     vit = viterbi(em, trans)
-    rest = [ScoredSequence(list(prefix), score) for score, prefix in beam
-            if list(prefix) != vit.labels]
+    best = np.argsort(-scores, kind="stable")
+    rest = [ScoredSequence(labels, score)
+            for labels, score in zip(paths[best].tolist(), scores[best].tolist())
+            if labels != vit.labels]
     return [vit] + rest[: k - 1]

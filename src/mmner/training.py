@@ -359,10 +359,10 @@ def save_model(params: ModelParams, path: str) -> None:
 
 class _Reader:
     def __init__(self, blob: bytes):
-        self.blob = blob
+        self.blob = memoryview(blob)  # take() hands out views, not copies
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise ModelTruncatedError(
                 f"file truncated: needed {n} bytes at offset {self.pos}, "
@@ -387,14 +387,14 @@ def load_model(path: str) -> ModelParams:
         raise ModelVersionError(f"unsupported model file version {version}")
     (meta_len,) = reader.unpack("<I")
     try:
-        meta, token_trainable = _meta_from_json(reader.take(meta_len))
+        meta, token_trainable = _meta_from_json(bytes(reader.take(meta_len)))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ModelShapeError(f"bad metadata block: {exc}") from None
     (n_tensors,) = reader.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8", errors="replace")
+        name = bytes(reader.take(name_len)).decode("utf-8", errors="replace")
         (rank,) = reader.unpack("<B")
         shape = reader.unpack(f"<{rank}Q")
         data = reader.take(8 * math.prod(shape))

@@ -2,7 +2,9 @@
 
 Everything here is written independently of the package internals: scores
 accumulate in a plain loop, sequences enumerate via itertools, and span
-extraction re-derives the repair-then-extract semantics from scratch.
+extraction re-derives the repair-then-extract semantics from scratch. The
+one exception is reference_beam, the earlier tuple-based beam_topk, kept to
+pin the array beam to it; like beam_topk it hoists the package's viterbi.
 """
 
 import itertools
@@ -10,6 +12,7 @@ import itertools
 import numpy as np
 
 from mmner.network import EmissionMatrix
+from mmner.structured import ScoredSequence, viterbi
 
 
 def random_em(rng, n, n_labels, spread=1.5):
@@ -96,3 +99,27 @@ def augmented_argmax(em, trans, gold, kind, scheme, kappa, beta):
         if aug > best_aug:
             best, best_aug = list(labels), aug
     return best, best_aug
+
+
+def reference_beam(em, trans, k):
+    """The per-position beam over Python tuples that beam_topk replaced."""
+    n, n_labels = em.n, em.n_labels
+    beam = [
+        (float(trans[n_labels, lab] + em.log_probs[0, lab]), (lab,))
+        for lab in range(n_labels)
+    ]
+    beam.sort(key=lambda item: (-item[0], item[1]))
+    beam = beam[:k]
+    for t in range(1, n):
+        grown = [
+            (score + float(trans[prefix[-1], lab] + em.log_probs[t, lab]), prefix + (lab,))
+            for score, prefix in beam
+            for lab in range(n_labels)
+        ]
+        grown.sort(key=lambda item: (-item[0], item[1]))
+        beam = grown[:k]
+
+    vit = viterbi(em, trans)
+    rest = [ScoredSequence(list(prefix), score) for score, prefix in beam
+            if list(prefix) != vit.labels]
+    return [vit] + rest[: k - 1]

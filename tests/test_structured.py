@@ -6,7 +6,7 @@ import pytest
 from mmner.network import EmissionMatrix
 from mmner.structured import beam_topk, sentence_score, viterbi
 
-from oracles import enumerate_all, random_instance
+from oracles import enumerate_all, random_instance, reference_beam
 
 
 def em_from_probs(rows):
@@ -131,6 +131,37 @@ class TestBeamTopk:
         em, trans = random_instance(rng, 4, 3)
         top = beam_topk(em, trans, 81)
         assert len({tuple(s.labels) for s in top}) == len(top)
+
+    @staticmethod
+    def tie_heavy_instance(rng, n, n_labels):
+        """Log-probs and transitions on a coarse grid (transitions all zero a
+        third of the time), so many prefixes tie on score."""
+        em, trans = random_instance(rng, n, n_labels)
+        log_probs = np.round(em.log_probs * 2) / 2
+        trans = np.zeros_like(trans) if rng.random() < 1 / 3 else np.round(trans)
+        return EmissionMatrix(np.exp(log_probs), log_probs), trans
+
+    def test_bit_identical_to_reference_beam(self):
+        rng = np.random.default_rng(13)
+        for i in range(160):
+            n, n_labels = int(rng.integers(1, 61)), int(rng.integers(1, 18))
+            make = self.tie_heavy_instance if i % 2 else random_instance
+            em, trans = make(rng, n, n_labels)
+            for k in (1, 2, 8, 20):
+                got = [(s.labels, s.score) for s in beam_topk(em, trans, k)]
+                want = [(s.labels, s.score) for s in reference_beam(em, trans, k)]
+                assert got == want, (i, n, n_labels, k)
+
+    def test_exhaustive_bit_identical_to_reference_beam(self):
+        rng = np.random.default_rng(14)
+        for i in range(120):
+            n, n_labels = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            make = self.tie_heavy_instance if i % 2 else random_instance
+            em, trans = make(rng, n, n_labels)
+            k = n_labels ** n
+            got = [(s.labels, s.score) for s in beam_topk(em, trans, k)]
+            assert got == [(s.labels, s.score) for s in reference_beam(em, trans, k)]
+            assert len(got) == k
 
     def test_k_validation(self):
         em = em_from_probs([[1.0]])

@@ -1,13 +1,14 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mmner.corpus import TagScheme
 from mmner.embeddings import SCALE_FLOOR, RowGrad
-from mmner.model import ModelParams
+from mmner.model import ModelMeta, ModelParams, init_params
 from mmner.network import EmissionMatrix, forward_sentence
 from mmner.structured import sentence_score, viterbi
 from mmner.synthetic import synthetic_corpus, tiny_instance
@@ -484,6 +485,25 @@ class TestSerialization:
         open(path, "wb").write(blob[:16 + meta_len] + struct.pack("<I", 1) + tensor)
         with pytest.raises(ModelShapeError, match="emb_token"):
             load_model(path)
+
+    def test_load_holds_one_copy_of_the_tensors(self, tmp_path):
+        # the file is read once; tensors are copied out of views into it
+        meta = ModelMeta(
+            scheme=TagScheme.from_entity_types((("PER", "NAM"),)), mode="positional",
+            bigrams=True, window=3, d_token=20, d_feature=20, hidden_dim=10,
+            token_itos=("<unk>", "<pad>") + tuple(f"t{i}" for i in range(1998)),
+            bigram_itos=("<unk>", "<pad>") + tuple(f"b{i}" for i in range(19998)),
+        )
+        path = tmp_path / "m.bin"
+        save_model(init_params(meta, np.random.default_rng(0)), str(path))
+        tensor_bytes = sum(8 * math.prod(shape) for shape in meta.tensor_shapes().values())
+        tracemalloc.start()
+        try:
+            load_model(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.stat().st_size + tensor_bytes + 2 * 2**20
 
     def test_no_partial_file_on_save(self, tmp_path):
         params, _ = tiny_instance(10)
