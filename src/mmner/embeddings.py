@@ -79,12 +79,13 @@ class EmbeddingTable:
 
     def sgd_update(self, grad: RowGrad | None, lr: float, l2_lambda: float) -> None:
         """values <- (1 - lr * lambda) * values - lr * grad, writing only the
-        gradient's rows."""
+        gradient's rows. ``grad.values`` is consumed (scaled in place)."""
         self.scale *= 1.0 - lr * l2_lambda
         if self.scale < SCALE_FLOOR:
             self.fold()
         if grad is not None:
-            self.vectors[grad.rows] -= (lr / self.scale) * grad.values
+            np.multiply(grad.values, lr / self.scale, out=grad.values)
+            self.vectors[grad.rows] -= grad.values
 
 
 def random_table(size: int, dim: int, rng: np.random.Generator, scale: float = FALLBACK_SCALE) -> EmbeddingTable:

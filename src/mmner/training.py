@@ -15,6 +15,7 @@ candidate set (Viterbi-seeded, gold always injected) reranked by s + Delta.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -201,10 +202,7 @@ def objective(dataset: list[Sentence], params: ModelParams, config: TrainConfig)
     """Mean instance loss plus the L2 penalty (lambda/2 ||theta||^2)."""
     if not dataset:
         raise ValueError("empty dataset")
-    total = 0.0
-    for sent in dataset:
-        q, _ = instance_loss(sent, params, config.trigger, config.beam_k)
-        total += q
+    total = sum(instance_loss(s, params, config.trigger, config.beam_k)[0] for s in dataset)
     return total / len(dataset) + 0.5 * config.l2_lambda * l2_norm_sq(params)
 
 
@@ -216,7 +214,7 @@ def sgd_step(
     Weight decay applies to every trainable tensor on every step, gradient
     or not; tensors absent from the gradient dict update with g = 0. The
     embedding tables decay lazily through their scale and write only the
-    gradient's rows; dense tensors decay in place.
+    gradient's rows; dense tensors decay in place. Consumes ``grads``.
     """
     grads = grads or {}
     for name, table in params.tables().items():
@@ -229,7 +227,8 @@ def sgd_step(
         if l2_lambda:
             arr *= 1.0 - lr * l2_lambda
         if g is not None:
-            arr -= lr * g
+            g *= lr
+            arr -= g
 
 
 def train(
@@ -322,13 +321,10 @@ def _meta_from_json(blob: bytes) -> tuple[ModelMeta, bool]:
     doc = json.loads(blob.decode("utf-8"))
     if not isinstance(doc, dict):
         raise ValueError("metadata is not a JSON object")
-    scheme = TagScheme(
-        tuple(doc["labels"]),
-        tuple((c, k) for c, k in doc["entity_types"]),
-        doc["outside"],
-    )
-    values = {name: doc[name] for name in META_FIELDS}
-    meta = ModelMeta(scheme, **{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+    scheme = TagScheme(tuple(doc["labels"]), tuple((c, k) for c, k in doc["entity_types"]),
+                       doc["outside"])
+    values = {k: tuple(doc[k]) if isinstance(doc[k], list) else doc[k] for k in META_FIELDS}
+    meta = ModelMeta(scheme, **values)
     if type(doc["token_trainable"]) is not bool:
         raise ValueError("token_trainable must be a boolean")
     return meta, doc["token_trainable"]
@@ -340,36 +336,43 @@ def save_model(params: ModelParams, path: str) -> None:
     Layout, all integers little-endian: 8-byte magic, uint32 version,
     uint32 metadata length + UTF-8 JSON metadata, uint32 tensor count, then
     per tensor: uint16 name length + name, uint8 rank, rank x uint64 dims,
-    float64 values row-major.
+    float64 values row-major. Each tensor is written from its own array; a
+    failed save removes the tmp file and leaves ``path`` as it was.
     """
     meta_blob = _meta_to_json(params.meta, params.token_table.trainable)
     tensors = params.named_tensors()
-    chunks = [MODEL_MAGIC, struct.pack("<I", MODEL_VERSION), struct.pack("<I", len(meta_blob)),
-              meta_blob, struct.pack("<I", len(tensors))]
-    for name, arr in tensors.items():
-        encoded = name.encode("utf-8")
-        chunks += [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", arr.ndim),
-                   struct.pack(f"<{arr.ndim}Q", *arr.shape),
-                   np.ascontiguousarray(arr, dtype="<f8").tobytes()]
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(chunks))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(meta_blob)) + meta_blob
+                     + struct.pack("<I", len(tensors)))
+            for name, arr in tensors.items():
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}Q", len(encoded), encoded,
+                                     arr.ndim, *arr.shape))
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
+        os.replace(tmp, path)
+    except BaseException:  # a half-written tmp file must not outlive the save
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = memoryview(blob)  # take() hands out views, not copies
-        self.pos = 0
+    """Reads a model file in order, checking each length before allocating for it."""
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.blob):
+    def __init__(self, fh):
+        self.fh, self.left = fh, os.fstat(fh.fileno()).st_size
+
+    def take(self, n: int, make=bytearray):
+        """The next n bytes, read into ``make(n)``, an n-byte buffer."""
+        if n > self.left:
             raise ModelTruncatedError(
-                f"file truncated: needed {n} bytes at offset {self.pos}, "
-                f"have {len(self.blob) - self.pos}"
-            )
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
+                f"file truncated: needed {n} bytes at offset {self.fh.tell()}, have {self.left}")
+        self.left -= n
+        out = make(n)
+        if self.fh.readinto(out) != n:
+            raise ModelTruncatedError(f"file truncated: read fewer than {n} bytes")
         return out
 
     def unpack(self, fmt: str):
@@ -377,33 +380,33 @@ class _Reader:
 
 
 def load_model(path: str) -> ModelParams:
-    """Read a model file back; inverse of :func:`save_model`, bit-exact."""
+    """Read a model file back; inverse of :func:`save_model`, bit-exact.
+    Each tensor is read straight into its own array."""
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
-    if reader.take(len(MODEL_MAGIC)) != MODEL_MAGIC:
-        raise ModelVersionError("not a model file (bad magic)")
-    (version,) = reader.unpack("<I")
-    if version != MODEL_VERSION:
-        raise ModelVersionError(f"unsupported model file version {version}")
-    (meta_len,) = reader.unpack("<I")
-    try:
-        meta, token_trainable = _meta_from_json(bytes(reader.take(meta_len)))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ModelShapeError(f"bad metadata block: {exc}") from None
-    (n_tensors,) = reader.unpack("<I")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
-        (name_len,) = reader.unpack("<H")
-        name = bytes(reader.take(name_len)).decode("utf-8", errors="replace")
-        (rank,) = reader.unpack("<B")
-        shape = reader.unpack(f"<{rank}Q")
-        data = reader.take(8 * math.prod(shape))
+        reader = _Reader(fh)
+        if reader.take(len(MODEL_MAGIC)) != MODEL_MAGIC:
+            raise ModelVersionError("not a model file (bad magic)")
+        (version,) = reader.unpack("<I")
+        if version != MODEL_VERSION:
+            raise ModelVersionError(f"unsupported model file version {version}")
+        (meta_len,) = reader.unpack("<I")
         try:
-            tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-        except ValueError as exc:  # numpy caps the rank (at 64)
-            raise ModelShapeError(f"tensor {name}: {exc}") from None
-    if reader.pos != len(reader.blob):
-        raise ModelShapeError(f"{len(reader.blob) - reader.pos} trailing bytes after last tensor")
+            meta, token_trainable = _meta_from_json(reader.take(meta_len))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ModelShapeError(f"bad metadata block: {exc}") from None
+        (n_tensors,) = reader.unpack("<I")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(n_tensors):
+            (name_len,) = reader.unpack("<H")
+            name = reader.take(name_len).decode("utf-8", errors="replace")
+            (rank,) = reader.unpack("<B")
+            shape = reader.unpack(f"<{rank}Q")
+            try:
+                tensors[name] = reader.take(8 * math.prod(shape), lambda _: np.empty(shape, "<f8"))
+            except ValueError as exc:  # numpy caps the rank (at 64) and the size
+                raise ModelShapeError(f"tensor {name}: {exc}") from None
+        if reader.left:
+            raise ModelShapeError(f"{reader.left} trailing bytes after last tensor")
 
     expected = meta.tensor_shapes()
     if set(tensors) != set(expected):
@@ -415,15 +418,11 @@ def load_model(path: str) -> ModelParams:
         features = {name: EmbeddingTable(meta.d_feature, tensors[name])
                     for name in FEATURE_TABLES if name in tensors}
         return ModelParams(
-            meta=meta,
-            token_table=EmbeddingTable(meta.d_token, tensors["emb_token"], token_trainable),
-            seg_table=features.get("emb_seg"),
-            bigram_table=features.get("emb_bigram"),
-            fwd=LstmParams(width, meta.hidden_dim, tensors["lstm_fwd_w"], tensors["lstm_fwd_b"]),
-            bwd=LstmParams(width, meta.hidden_dim, tensors["lstm_bwd_w"], tensors["lstm_bwd_b"]),
-            proj=ProjectionParams(tensors["proj_w"], tensors["proj_b"]),
-            transitions=tensors["transitions"],
-        )
+            meta, EmbeddingTable(meta.d_token, tensors["emb_token"], token_trainable),
+            features.get("emb_seg"), features.get("emb_bigram"),
+            LstmParams(width, meta.hidden_dim, tensors["lstm_fwd_w"], tensors["lstm_fwd_b"]),
+            LstmParams(width, meta.hidden_dim, tensors["lstm_bwd_w"], tensors["lstm_bwd_b"]),
+            ProjectionParams(tensors["proj_w"], tensors["proj_b"]), tensors["transitions"])
     except ValueError as exc:
         raise ModelShapeError(str(exc)) from None
 

@@ -5,7 +5,9 @@ The runs are derandomized, so the suite sees the same examples every time.
 """
 
 import json
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +92,46 @@ def test_truncated_model_raises_only_model_io_error(model_file, data):
     path, blob = model_file
     cut = data.draw(st.integers(0, len(blob) - 1))
     _loads_or_model_io_error(path.with_name("truncated.bin"), blob[:cut])
+
+
+def _tensor_headers(blob):
+    """(offset of the rank byte, rank) of every tensor in a model file."""
+    (meta_len,) = struct.unpack("<I", blob[12:16])
+    pos = 16 + meta_len
+    (count,) = struct.unpack("<I", blob[pos:pos + 4])
+    pos += 4
+    headers = []
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", blob[pos:pos + 2])
+        pos += 2 + name_len
+        rank = blob[pos]
+        shape = struct.unpack(f"<{rank}Q", blob[pos + 1:pos + 1 + 8 * rank])
+        headers.append((pos, rank))
+        pos += 1 + 8 * rank + 8 * math.prod(shape)
+    assert pos == len(blob)
+    return headers
+
+
+@FUZZ
+@given(st.data())
+def test_rewritten_tensor_header_raises_only_model_io_error(model_file, data):
+    # the reader allocates by the declared shape: any rank and dims must end
+    # in a typed error, never in an allocation beyond the file's size
+    path, blob = model_file
+    pos, rank = data.draw(st.sampled_from(_tensor_headers(blob)))
+    # low ranks and mid-sized dims reach np.empty; the rest overflow it
+    new_rank = data.draw(st.one_of(st.integers(0, 3), st.integers(0, 255)))
+    dim = st.one_of(st.integers(0, 2**24), st.integers(0, 2**64 - 1))
+    dims = data.draw(st.lists(dim, min_size=new_rank, max_size=new_rank))
+    header = struct.pack(f"<B{new_rank}Q", new_rank, *dims)
+    edited = blob[:pos] + header + blob[pos + 1 + 8 * rank:]
+    tracemalloc.start()
+    try:
+        _loads_or_model_io_error(path.with_name("header.bin"), edited)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(edited) + 2**20
 
 
 JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 40), st.floats(),

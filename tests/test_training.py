@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mmner import training
 from mmner.corpus import TagScheme
 from mmner.embeddings import SCALE_FLOOR, RowGrad
 from mmner.model import ModelMeta, ModelParams, init_params
@@ -240,6 +241,35 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             sgd_step(params, {"transitions": np.zeros(3)}, 0.1, 0.0)
 
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    def test_in_place_update_matches_the_allocating_formula(self, l2):
+        # sgd_step scales each gradient in place; the result must equal,
+        # bit for bit, theta - lr * g computed through a temporary
+        params, _ = tiny_instance(15)
+        rng = np.random.default_rng(15)
+        grads = {name: rng.normal(size=arr.shape) for name, arr in params.dense_tensors().items()}
+        for name, table in params.tables().items():
+            rows = np.sort(rng.choice(table.size, size=3, replace=False))
+            grads[name] = RowGrad(rows, rng.normal(size=(3, table.dim)))
+        reference = params.copy()
+        for table in (*params.tables().values(), *reference.tables().values()):
+            table.scale = 0.7
+        lr = 0.1
+        for name, table in reference.tables().items():
+            table.scale *= 1.0 - lr * l2
+            g = grads[name]
+            table.vectors[g.rows] -= (lr / table.scale) * g.values
+        for name, arr in reference.dense_tensors().items():
+            if l2:
+                arr *= 1.0 - lr * l2
+            arr -= lr * grads[name]
+        sgd_step(params, grads, lr, l2)
+        for name, table in params.tables().items():
+            assert table.scale == reference.tables()[name].scale
+            assert (table.vectors == reference.tables()[name].vectors).all(), name
+        for name, arr in params.dense_tensors().items():
+            assert (arr == reference.dense_tensors()[name]).all(), name
+
 
 class TestTrainLoop:
     def make_setup(self, n=10, seed=0, epochs=5, trigger=None):
@@ -391,6 +421,30 @@ class TestLazyL2:
         assert set(changed) <= set(grads["emb_bigram"].rows.tolist())
 
 
+def traced_peak(fn) -> int:
+    """tracemalloc's peak, in bytes, while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def big_model(tmp_path_factory):
+    """(file, tensor bytes) of a model whose tables dwarf its metadata."""
+    meta = ModelMeta(
+        scheme=TagScheme.from_entity_types((("PER", "NAM"),)), mode="positional",
+        bigrams=True, window=3, d_token=20, d_feature=20, hidden_dim=10,
+        token_itos=("<unk>", "<pad>") + tuple(f"t{i}" for i in range(1998)),
+        bigram_itos=("<unk>", "<pad>") + tuple(f"b{i}" for i in range(19998)),
+    )
+    path = tmp_path_factory.mktemp("big") / "m.bin"
+    save_model(init_params(meta, np.random.default_rng(0)), str(path))
+    return path, sum(8 * math.prod(shape) for shape in meta.tensor_shapes().values())
+
+
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
         for mode, bigrams in (("positional", True), ("segfeat", True), ("positional", False)):
@@ -510,6 +564,60 @@ class TestSerialization:
         path = str(tmp_path / "m.bin")
         save_model(params, path)
         assert not (tmp_path / "m.bin.tmp").exists()
+
+    def test_failed_save_removes_tmp_and_keeps_the_old_file(self, tmp_path, monkeypatch):
+        params, _ = tiny_instance(10)
+        path = tmp_path / "m.bin"
+        save_model(params, str(path))
+        before = path.read_bytes()
+
+        class FailingFile:
+            """Writes the file header and the first tensor, then fails."""
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if self.writes == 3:  # header, then the first tensor's header and values
+                    raise OSError("no space left on device")
+                self.writes += 1
+                return self.fh.write(data)
+
+        monkeypatch.setattr(training, "open", lambda p, mode: FailingFile(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_model(init_params(params.meta, np.random.default_rng(1)), str(path))
+        assert not (tmp_path / "m.bin.tmp").exists()
+        assert path.read_bytes() == before
+
+    def test_load_peak_is_one_model(self, big_model):
+        path, tensor_bytes = big_model
+        assert traced_peak(lambda: load_model(str(path))) <= tensor_bytes + 2 * 2**20
+
+    def test_save_peak_stays_below_one_model(self, big_model, tmp_path):
+        params, tensor_bytes = load_model(str(big_model[0])), big_model[1]
+        out = str(tmp_path / "again.bin")
+        assert traced_peak(lambda: save_model(params, out)) <= tensor_bytes
+        assert open(out, "rb").read() == big_model[0].read_bytes()
+
+    def test_huge_declared_tensor_is_truncation_not_allocation(self, tmp_path):
+        params, _ = tiny_instance(10)
+        path = tmp_path / "m.bin"
+        save_model(params, str(path))
+        blob = path.read_bytes()
+        (meta_len,) = struct.unpack("<I", blob[12:16])
+        tensor = (struct.pack("<H", 9) + b"emb_token" + struct.pack("<BQ", 1, 2**40) + bytes(16))
+        path.write_bytes(blob[:16 + meta_len] + struct.pack("<I", 1) + tensor)
+
+        def load():
+            with pytest.raises(ModelTruncatedError, match="needed 8796093022208 bytes"):
+                load_model(str(path))
+        assert traced_peak(load) < 2**20
 
 
 class TestGradCheckHarness:
