@@ -7,7 +7,6 @@ import numpy as np
 
 from mmner.corpus import (
     TagScheme,
-    apply_positional_tags,
     build_vocab,
     encode_corpus,
     extract_bigram_features,
@@ -15,6 +14,7 @@ from mmner.corpus import (
     parse_conll,
     positional_tags,
     repair_bio,
+    represent,
     vocab_sources,
 )
 from mmner.embeddings import EmbeddingTable, InputAssembly, assemble_window, random_table
@@ -51,7 +51,7 @@ print("\nrepair", [scheme.name(x) for x in broken], "->", [scheme.name(x) for x 
 # carry segmentation information.
 seg = load_segmentation("张伟 去 北京\n哥们 在 老家\n")
 print("\nper-word position tags for 张伟:", positional_tags("张伟"))
-print("positional tokens:", apply_positional_tags(["张伟", "去", "北京"]))
+print("positional tokens:", represent(sentences[0], list(seg["张伟去北京"]), "positional", False)[0])
 print("lookup for the joined sentence:", seg["张伟去北京"])
 
 # Representation 2: raw characters plus a discrete segmentation-tag feature

@@ -26,7 +26,7 @@ from .corpus import (
 from .embeddings import EmbeddingFormatError, EmbeddingTable, InputAssembly, load_pretrained
 from .evaluation import EvalReport, evaluate, render_report, token_accuracy
 from .model import ModelMeta, ModelParams, init_params
-from .network import EmissionMatrix, LstmParams, ProjectionParams, bilstm_forward, emissions
+from .network import EmissionMatrix, LstmParams, ProjectionParams, emissions
 from .structured import ScoredSequence, beam_topk, sentence_score, viterbi
 from .synthetic import synthetic_corpus, tiny_instance, to_conll
 from .training import (

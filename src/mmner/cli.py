@@ -40,6 +40,7 @@ from .training import (
     DEFAULT_L2,
     DEFAULT_LR,
     DEFAULT_SEED,
+    GRADCHECK_TOL,
     ModelIOError,
     TrainConfig,
     augmented_gap,
@@ -50,9 +51,6 @@ from .training import (
     train,
 )
 from .triggers import DEFAULT_BETA, DEFAULT_KAPPA, INTEGRATED, TRIGGER_KINDS, Trigger
-
-GRADCHECK_TOL = 1e-4
-
 
 class CliError(Exception):
     """Usage or input problem; maps to exit code 2."""
@@ -161,7 +159,7 @@ def _read(path: str, what: str) -> str:
     if not os.path.exists(path):
         raise CliError(f"{what} file not found: {path}")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise CliError(f"{what} file {path} is not UTF-8: {exc}") from None
@@ -183,6 +181,11 @@ def _load_labeled(path: str, scheme: TagScheme, what: str) -> list[Sentence]:
 
 def _seg_map(path: str | None):
     return load_segmentation(_read(path, "segmented text")) if path else None
+
+
+def _encode(sentences: list[Sentence], meta: ModelMeta, seg_map) -> list[Sentence]:
+    return encode_corpus(sentences, seg_map, meta.mode, meta.bigrams,
+                         meta.token_vocab, meta.feature_vocabs())
 
 
 def cmd_train(args) -> int:
@@ -218,9 +221,8 @@ def cmd_train(args) -> int:
         token_table = load_pretrained(text, token_vocab, D_TOKEN, rng)
     params = init_params(meta, rng, token_table)
 
-    vocabs = meta.feature_vocabs()
-    train_set = encode_corpus(train_raw, seg_map, mode, bigrams, token_vocab, vocabs)
-    dev_set = encode_corpus(dev_raw, seg_map, mode, bigrams, token_vocab, vocabs)
+    train_set = _encode(train_raw, meta, seg_map)
+    dev_set = _encode(dev_raw, meta, seg_map)
     if sweep:
         return _beta_sweep(sweep, params, train_set, dev_set)
 
@@ -236,7 +238,7 @@ def cmd_train(args) -> int:
         print(render_report(evaluate(dev_set, preds, scheme)))
     if v["test"]:
         test_raw = _load_labeled(v["test"], scheme, "test")
-        test_set = encode_corpus(test_raw, seg_map, mode, bigrams, token_vocab, vocabs)
+        test_set = _encode(test_raw, meta, seg_map)
         preds = [predict_labels(s, best) for s in test_set]
         surfaces = gold_entity_surfaces(train_raw, scheme)
         print("test set:")
@@ -256,16 +258,10 @@ def _beta_sweep(configs: list[TrainConfig], params, train_set, dev_set) -> int:
     return 0
 
 
-def _encode_for_model(sentences, params, seg_path):
-    meta = params.meta
-    return encode_corpus(sentences, _seg_map(seg_path), meta.mode, meta.bigrams,
-                         meta.token_vocab, meta.feature_vocabs())
-
-
 def cmd_predict(args) -> int:
     params = load_model(args.model)
     raw, _ = parse_conll(_read(args.input, "input"), params.meta.scheme)
-    encoded = _encode_for_model(raw, params, args.segmented_text)
+    encoded = _encode(raw, params.meta, _seg_map(args.segmented_text))
     scheme = params.meta.scheme
     blocks = []
     for sent, enc in zip(raw, encoded):
@@ -282,7 +278,7 @@ def cmd_eval(args) -> int:
     params = load_model(args.model)
     scheme = params.meta.scheme
     gold = _load_labeled(args.gold, scheme, "gold")
-    encoded = _encode_for_model(gold, params, args.segmented_text)
+    encoded = _encode(gold, params.meta, _seg_map(args.segmented_text))
     preds = [predict_labels(s, params) for s in encoded]
     train_surfaces = None
     if args.train_gold:

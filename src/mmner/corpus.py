@@ -4,7 +4,6 @@ segmentation features) plus bigram feature templates."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -191,7 +190,7 @@ def labels_from_entities(spans: list[EntitySpan], length: int, scheme: TagScheme
     return labels
 
 
-def parse_conll(text, scheme: TagScheme) -> tuple[list[Sentence], int]:
+def parse_conll(text: str, scheme: TagScheme) -> tuple[list[Sentence], int]:
     """Parse CoNLL-style "<token>TAB<label>" lines into sentences.
 
     Blank lines separate sentences. The label column may be omitted
@@ -200,11 +199,6 @@ def parse_conll(text, scheme: TagScheme) -> tuple[list[Sentence], int]:
     :func:`repair_bio`; the total number of repairs comes back as the second
     element.
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in text]
-
     sentences: list[Sentence] = []
     warnings = 0
     n_columns: int | None = None
@@ -223,7 +217,7 @@ def parse_conll(text, scheme: TagScheme) -> tuple[list[Sentence], int]:
             sentences.append(Sentence(tokens))
         tokens, labels = [], []
 
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             flush()
             continue
@@ -259,19 +253,6 @@ def positional_tags(word: str) -> list[str]:
     if len(word) == 1:
         return ["S"]
     return ["B"] + ["I"] * (len(word) - 2) + ["E"]
-
-
-def apply_positional_tags(segmented_words: list[str]) -> list[str]:
-    """Attach each character of each word to its positional tag.
-
-    ["AB", "C"] -> ["A#B", "B#E", "C#S"]; output length equals the total
-    character count.
-    """
-    out: list[str] = []
-    for word in segmented_words:
-        for ch, tag in zip(word, positional_tags(word)):
-            out.append(f"{ch}#{tag}")
-    return out
 
 
 def extract_bigram_features(tokens: list[str], t: int) -> list[str]:
@@ -317,18 +298,17 @@ def load_segmentation(lines) -> dict[str, tuple[str, ...]]:
     return table
 
 
-def seg_tags_for(tokens: list[str], seg_map: dict[str, tuple[str, ...]] | None) -> tuple[list[str], bool]:
+def seg_tags_for(tokens: list[str], seg_map: dict[str, tuple[str, ...]] | None) -> list[str]:
     """Positional tags for a sentence, with identity fallback.
 
-    Returns (tags, found). When the sentence's character sequence is absent
-    from the lookup (or no lookup is given), every character becomes a
-    single-character word ("S") and found is False.
+    When the sentence's character sequence is absent from the lookup (or no
+    lookup is given), every character becomes a single-character word ("S").
     """
     if seg_map is not None:
         hit = seg_map.get("".join(tokens))
         if hit is not None:
-            return list(hit), True
-    return ["S"] * len(tokens), False
+            return list(hit)
+    return ["S"] * len(tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +338,13 @@ class Vocab:
         return s in self.stoi
 
 
-def build_vocab(tokens: Iterable[str], min_count: int = 1) -> Vocab:
-    """Map each string appearing at least min_count times to a dense index.
+def build_vocab(tokens: Iterable[str]) -> Vocab:
+    """Map each distinct string to a dense index.
 
     Indices follow first-occurrence order after the two reserved entries.
     """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
-    counts = Counter()
-    for tok in tokens:
-        counts[tok] += 1
-    itos = [UNK, PAD]
-    for tok, n in counts.items():
-        if n >= min_count and tok not in (UNK, PAD):
-            itos.append(tok)
-    return Vocab.from_itos(itos)
+    fresh = (tok for tok in dict.fromkeys(tokens) if tok not in (UNK, PAD))
+    return Vocab.from_itos([UNK, PAD, *fresh])
 
 
 SEG_VOCAB = Vocab.from_itos([UNK, PAD, *SEG_TAGS])
@@ -442,7 +414,7 @@ def encode_corpus(
 ) -> list[Sentence]:
     out = []
     for sent in sentences:
-        tags, _ = seg_tags_for(sent.tokens, seg_map)
+        tags = seg_tags_for(sent.tokens, seg_map)
         out.append(encode_sentence(sent, tags, mode, bigrams, token_vocab, vocabs))
     return out
 
@@ -457,7 +429,7 @@ def vocab_sources(
     token_strings: list[str] = []
     bigram_strings: list[str] = []
     for sent in sentences:
-        tags, _ = seg_tags_for(sent.tokens, seg_map)
+        tags = seg_tags_for(sent.tokens, seg_map)
         surface, slots = represent(sent, tags, mode, bigrams)
         token_strings.extend(surface)
         if bigrams:

@@ -88,14 +88,14 @@ class EmbeddingTable:
             self.vectors[grad.rows] -= grad.values
 
 
-def random_table(size: int, dim: int, rng: np.random.Generator, scale: float = FALLBACK_SCALE) -> EmbeddingTable:
-    """Fresh table with uniform entries in [-scale, scale]; padding row is zero."""
-    vectors = rng.uniform(-scale, scale, size=(size, dim))
+def random_table(size: int, dim: int, rng: np.random.Generator) -> EmbeddingTable:
+    """Fresh table with entries uniform in +-FALLBACK_SCALE; padding row is zero."""
+    vectors = rng.uniform(-FALLBACK_SCALE, FALLBACK_SCALE, size=(size, dim))
     vectors[PAD_INDEX] = 0.0
     return EmbeddingTable(dim, vectors)
 
 
-def load_pretrained(text, vocab: Vocab, dim: int, rng: np.random.Generator) -> EmbeddingTable:
+def load_pretrained(text: str, vocab: Vocab, dim: int, rng: np.random.Generator) -> EmbeddingTable:
     """Load word vectors in the plain text format "<word> v1 ... v_dim".
 
     An optional first line "<count> <dim>" (two integer fields) is skipped.
@@ -104,11 +104,7 @@ def load_pretrained(text, vocab: Vocab, dim: int, rng: np.random.Generator) -> E
     becomes the mean of every vector parsed from the file (zero when the file
     holds none).
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in text]
-
+    lines = text.splitlines()
     table = random_table(len(vocab), dim, rng)
     total = np.zeros(dim)
     n_read = 0

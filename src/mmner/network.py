@@ -88,15 +88,6 @@ def _activate(a: np.ndarray, c_prev: np.ndarray, h_dim: int):
     return a[2 * h_dim:3 * h_dim] * tc, c, tc
 
 
-def lstm_cell(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: LstmParams):
-    """One recurrence step; returns (h, c)."""
-    if x.shape != (params.input_dim,) or h_prev.shape != (params.hidden_dim,):
-        raise ValueError("input or state dimension mismatch")
-    a = params.w @ np.concatenate([x, h_prev]) + params.b
-    h, c, _ = _activate(a, c_prev, params.hidden_dim)
-    return h, c
-
-
 def _steps(n: int, reverse: bool):
     return range(n - 1, -1, -1) if reverse else range(n)
 
@@ -171,20 +162,6 @@ def _direction_backward(
     return dw, da.sum(axis=0), da @ params.w[:, :d]
 
 
-def _bilstm(inputs: np.ndarray, fwd: LstmParams, bwd: LstmParams):
-    """(hidden (n, 2*hidden), forward cache, backward cache)."""
-    if inputs.shape[0] == 0:
-        raise ValueError("empty input sequence")
-    h_fwd, fwd_cache = _run_direction(inputs, fwd, reverse=False)
-    h_bwd, bwd_cache = _run_direction(inputs, bwd, reverse=True)
-    return np.concatenate([h_fwd, h_bwd], axis=1), fwd_cache, bwd_cache
-
-
-def bilstm_forward(inputs: np.ndarray, fwd: LstmParams, bwd: LstmParams) -> np.ndarray:
-    """Hidden vectors h_t = [forward_t ; backward_t], shape (n, 2*hidden)."""
-    return _bilstm(inputs, fwd, bwd)[0]
-
-
 @dataclass
 class EmissionMatrix:
     """Per-position label distributions; rows of ``probs`` sum to one."""
@@ -229,10 +206,14 @@ def forward_sentence(
     bwd: LstmParams,
     proj: ProjectionParams,
 ) -> SentenceCache:
+    """Hidden vectors h_t = [forward_t ; backward_t] (n, 2*hidden), their
+    emissions, and the caches of both directions."""
     if len(sentence) == 0:
         raise ValueError("empty sentence")
     inputs = assemble_window(sentence, assembly)
-    hidden, fwd_cache, bwd_cache = _bilstm(inputs, fwd, bwd)
+    h_fwd, fwd_cache = _run_direction(inputs, fwd, reverse=False)
+    h_bwd, bwd_cache = _run_direction(inputs, bwd, reverse=True)
+    hidden = np.concatenate([h_fwd, h_bwd], axis=1)
     return SentenceCache(sentence, inputs, fwd_cache, bwd_cache, hidden, emissions(hidden, proj))
 
 

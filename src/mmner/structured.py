@@ -17,8 +17,6 @@ import numpy as np
 
 from .network import EmissionMatrix
 
-START = -1  # alias: transitions[START] is the start row
-
 
 def check_transitions(trans: np.ndarray, n_labels: int) -> None:
     if trans.shape != (n_labels + 1, n_labels):

@@ -430,20 +430,22 @@ def load_model(path: str) -> ModelParams:
 # ---------------------------------------------------------------------------
 # Gradient checking
 
+GRADCHECK_EPS = 1e-4  # central-difference step
+GRADCHECK_TOL = 1e-4  # largest relative error that passes
+
 
 @dataclass
 class GradCheckReport:
     """Worst relative error per tensor plus the overall worst offender."""
 
     per_tensor: dict[str, float] = field(default_factory=dict)
-    resamples: int = 0
 
     @property
     def worst(self) -> tuple[str, float]:
         name = max(self.per_tensor, key=self.per_tensor.get)
         return name, self.per_tensor[name]
 
-    def passed(self, tol: float = 1e-4) -> bool:
+    def passed(self, tol: float = GRADCHECK_TOL) -> bool:
         return all(err <= tol for err in self.per_tensor.values())
 
 
@@ -462,14 +464,13 @@ def finite_difference_check(
     params: ModelParams,
     trigger: Trigger,
     beam_k: int,
-    eps: float = 1e-4,
     corrupt: str | None = None,
 ) -> GradCheckReport:
     """Central-difference check of q_i against the analytic subgradient.
 
-    Every element of every trainable tensor is perturbed by +-eps; the
-    relative error |analytic - numeric| / max(1, |analytic|, |numeric|) is
-    maximized per tensor. ``corrupt`` names a tensor whose analytic gradient
+    Every element of every trainable tensor is perturbed by +-GRADCHECK_EPS;
+    the relative error |analytic - numeric| / max(1, |analytic|, |numeric|)
+    is maximized per tensor. ``corrupt`` names a tensor whose analytic gradient
     gets deliberately broken (fault-injection hook for testing the checker).
     """
     _, _, sparse = instance_gradients(sentence, params, trigger, beam_k)
@@ -489,12 +490,12 @@ def finite_difference_check(
         worst = 0.0
         for idx in np.ndindex(theta.shape):
             orig = theta[idx]
-            theta[idx] = orig + eps
+            theta[idx] = orig + GRADCHECK_EPS
             q_plus, _ = instance_loss(sentence, params, trigger, beam_k)
-            theta[idx] = orig - eps
+            theta[idx] = orig - GRADCHECK_EPS
             q_minus, _ = instance_loss(sentence, params, trigger, beam_k)
             theta[idx] = orig
-            numeric = (q_plus - q_minus) / (2.0 * eps)
+            numeric = (q_plus - q_minus) / (2.0 * GRADCHECK_EPS)
             a = float(analytic[idx])
             rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
             worst = max(worst, rel)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .corpus import TagScheme, entities_from_labels, repair_bio
+from .evaluation import Counts
 
 HAMMING = "hamming"
 FSCORE = "fscore"
@@ -69,21 +70,15 @@ def sentence_f1(gold: list[int], pred: list[int], scheme: TagScheme) -> float:
 
     Spans must match exactly in category, start and end. Both inputs are
     BIO-repaired first. Degenerate conventions: both span sets empty -> 1.0,
-    exactly one empty -> 0.0.
+    exactly one empty -> 0.0 (:class:`Counts`' 0-when-unsupported rule).
     """
     _check_lengths(gold, pred)
     gold_spans = set(entities_from_labels(repair_bio(gold, scheme)[0], scheme))
     pred_spans = set(entities_from_labels(repair_bio(pred, scheme)[0], scheme))
     if not gold_spans and not pred_spans:
         return 1.0
-    if not gold_spans or not pred_spans:
-        return 0.0
-    matches = len(gold_spans & pred_spans)
-    precision = matches / len(pred_spans)
-    recall = matches / len(gold_spans)
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    tp = len(gold_spans & pred_spans)
+    return Counts(tp, len(pred_spans) - tp, len(gold_spans) - tp).f1
 
 
 def fscore_delta(gold: list[int], pred: list[int], kappa: float, scheme: TagScheme) -> float:

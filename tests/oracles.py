@@ -5,6 +5,8 @@ accumulate in a plain loop, sequences enumerate via itertools, and span
 extraction re-derives the repair-then-extract semantics from scratch. The
 one exception is reference_beam, the earlier tuple-based beam_topk, kept to
 pin the array beam to it; like beam_topk it hoists the package's viterbi.
+lstm_step is the LSTM recurrence written out with a plain logistic sigmoid,
+which the GEMM-based directions of the network are checked against.
 """
 
 import itertools
@@ -99,6 +101,16 @@ def augmented_argmax(em, trans, gold, kind, scheme, kappa, beta):
         if aug > best_aug:
             best, best_aug = list(labels), aug
     return best, best_aug
+
+
+def lstm_step(x, h_prev, c_prev, w, b):
+    """One LSTM step (gate rows input, forget, output, candidate) with an
+    explicit logistic sigmoid; returns (h, c)."""
+    a = w @ np.concatenate([x, h_prev]) + b
+    i, f, o, g = np.split(a, 4)
+    i, f, o = (1.0 / (1.0 + np.exp(-gate)) for gate in (i, f, o))
+    c = f * c_prev + i * np.tanh(g)
+    return o * np.tanh(c), c
 
 
 def reference_beam(em, trans, k):

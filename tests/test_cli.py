@@ -106,6 +106,12 @@ class TestTrain:
         log = model.with_name("m.bin.log").read_text("utf-8").strip().splitlines()
         assert len(log) == 1
 
+    def test_bom_config_trains(self, tmp_path, corpus_files):
+        cfg = write_config(tmp_path / "bom.cfg", train=str(corpus_files / "train.conll"),
+                           model_out=str(tmp_path / "model.bin"))
+        cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        assert main(["train", "--config", str(cfg)]) == 0
+
     def test_no_dev_renders_dashes(self, tmp_path, corpus_files):
         code, model = train_once(tmp_path, corpus_files, name="nodev.bin", dev="")
         assert code == 0
@@ -208,6 +214,18 @@ class TestPredict:
         gold, _ = parse_conll((corpus_files / "dev.conll").read_text("utf-8"), scheme)
         assert [s.tokens for s in predicted] == [s.tokens for s in gold]
         assert all(s.gold_labels is not None for s in predicted)
+
+    def test_bom_is_not_part_of_the_first_token(self, tmp_path, corpus_files, capsys):
+        code, model = train_once(tmp_path, corpus_files)
+        dev = corpus_files / "dev.conll"
+        bom = tmp_path / "bom.conll"
+        bom.write_bytes(b"\xef\xbb\xbf" + dev.read_bytes())
+        capsys.readouterr()
+        assert main(["predict", str(model), str(dev)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["predict", str(model), str(bom)]) == 0
+        out = capsys.readouterr().out
+        assert "\ufeff" not in out and out == plain
 
     def test_empty_input(self, tmp_path, corpus_files, capsys):
         code, model = train_once(tmp_path, corpus_files)

@@ -11,7 +11,6 @@ from mmner.corpus import (
     Sentence,
     TagScheme,
     Vocab,
-    apply_positional_tags,
     build_vocab,
     encode_sentence,
     entities_from_labels,
@@ -181,9 +180,6 @@ class TestPositional:
         assert positional_tags("ab") == ["B", "E"]
         assert positional_tags("abcd") == ["B", "I", "I", "E"]
 
-    def test_apply(self):
-        assert apply_positional_tags(["AB", "C"]) == ["A#B", "B#E", "C#S"]
-
     def test_empty_word_raises(self):
         with pytest.raises(ValueError):
             positional_tags("")
@@ -218,12 +214,9 @@ class TestSegmentation:
 
     def test_lookup_and_fallback(self):
         table = load_segmentation("AB C\n")
-        tags, found = seg_tags_for(list("ABC"), table)
-        assert (tags, found) == (["B", "E", "S"], True)
-        tags, found = seg_tags_for(list("XY"), table)
-        assert (tags, found) == (["S", "S"], False)
-        tags, found = seg_tags_for(list("XY"), None)
-        assert (tags, found) == (["S", "S"], False)
+        assert seg_tags_for(list("ABC"), table) == ["B", "E", "S"]
+        assert seg_tags_for(list("XY"), table) == ["S", "S"]
+        assert seg_tags_for(list("XY"), None) == ["S", "S"]
 
 
 class TestVocab:
@@ -233,10 +226,8 @@ class TestVocab:
         assert vocab.index("x") == 2
         assert vocab.index("missing") == 0
         assert "y" in vocab and "missing" not in vocab
-
-    def test_min_count(self):
-        vocab = build_vocab(["x", "y", "x"], min_count=2)
-        assert "x" in vocab and "y" not in vocab
+        # first-occurrence order; reserved strings in the input are not re-added
+        assert build_vocab(["b", "<pad>", "a", "b", "<unk>"]).itos == ["<unk>", "<pad>", "b", "a"]
 
     def test_requires_reserved_prefix(self):
         with pytest.raises(ValueError):

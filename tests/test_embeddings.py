@@ -19,7 +19,7 @@ VOCAB = Vocab.from_itos(["<unk>", "<pad>", "a", "b"])
 
 class TestTable:
     def test_random_table(self):
-        table = random_table(6, 4, np.random.default_rng(0), scale=0.1)
+        table = random_table(6, 4, np.random.default_rng(0))
         assert table.vectors.shape == (6, 4)
         np.testing.assert_array_equal(table.vectors[PAD_INDEX], 0.0)
         assert np.abs(table.vectors).max() <= 0.1

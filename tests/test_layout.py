@@ -1,0 +1,46 @@
+"""The package carries no code without a caller: every module-level name in
+src/mmner is used somewhere else in the package or exported by it."""
+
+import ast
+import re
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mmner"
+
+
+def _definitions(tree: ast.Module):
+    """(name, line) of each module-level def, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        yield leaf.id, node.lineno
+
+
+def uncalled(package: Path) -> list[str]:
+    """``module.name`` of every module-level name that appears on no other
+    line of the package and is not imported by its ``__init__``."""
+    sources = {path: path.read_text("utf-8") for path in sorted(package.glob("*.py"))}
+    init = ast.parse(sources[package / "__init__.py"])
+    exported = {alias.name for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    lines = [(path, lineno, line) for path, text in sources.items()
+             for lineno, line in enumerate(text.splitlines(), start=1)]
+    found = []
+    for path, text in sources.items():
+        for name, def_line in _definitions(ast.parse(text)):
+            if name in exported or (name.startswith("__") and name.endswith("__")):
+                continue
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(line) for where, lineno, line in lines
+                       if (where, lineno) != (path, def_line)):
+                found.append(f"{path.stem}.{name}")
+    return found
+
+
+def test_every_src_name_has_a_caller():
+    assert uncalled(PACKAGE) == []

@@ -9,28 +9,35 @@ from mmner.network import (
     EmissionMatrix,
     LstmParams,
     ProjectionParams,
-    backward,
-    bilstm_forward,
-    emissions,
+    _activate,
     _run_direction,
+    backward,
+    emissions,
     forward_sentence,
-    lstm_cell,
 )
+from oracles import lstm_step
 
 
 def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
+def step(x, h_prev, c_prev, params):
+    """One recurrence step through the production gate nonlinearities."""
+    a = params.w @ np.concatenate([x, h_prev]) + params.b
+    h, c, _ = _activate(a, c_prev, params.hidden_dim)
+    return h, c
+
+
 class TestLstmCell:
     def test_zero_parameters_fixed_point(self):
         params = LstmParams(1, 1, np.zeros((4, 2)), np.zeros(4))
-        h, c = lstm_cell(np.zeros(1), np.zeros(1), np.zeros(1), params)
+        h, c = step(np.zeros(1), np.zeros(1), np.zeros(1), params)
         # all gates sit at 1/2, the candidate at 0: zero state stays zero
         np.testing.assert_array_equal(h, 0.0)
         np.testing.assert_array_equal(c, 0.0)
         # a carried cell decays by the half-open forget gate
-        h, c = lstm_cell(np.zeros(1), np.zeros(1), np.array([2.0]), params)
+        h, c = step(np.zeros(1), np.zeros(1), np.array([2.0]), params)
         np.testing.assert_allclose(c, 1.0)
         np.testing.assert_allclose(h, 0.5 * math.tanh(1.0))
 
@@ -38,7 +45,7 @@ class TestLstmCell:
         w = np.array([[0.1, 0.2], [0.3, -0.1], [0.2, 0.2], [0.5, -0.5]])
         b = np.array([0.01, 0.02, 0.03, 0.04])
         params = LstmParams(1, 1, w, b)
-        h, c = lstm_cell(np.array([1.0]), np.array([0.5]), np.array([0.7]), params)
+        h, c = step(np.array([1.0]), np.array([0.5]), np.array([0.7]), params)
         i = sigmoid(0.1 * 1.0 + 0.2 * 0.5 + 0.01)
         f = sigmoid(0.3 * 1.0 - 0.1 * 0.5 + 0.02)
         o = sigmoid(0.2 * 1.0 + 0.2 * 0.5 + 0.03)
@@ -56,16 +63,21 @@ class TestLstmCell:
         # changes only how much of the carried cell survives
         params.w[:] = 0.0
         params.b[2:4] = 50.0
-        h, c = lstm_cell(np.zeros(3), np.zeros(2), np.array([1.0, -2.0]), params)
+        h, c = step(np.zeros(3), np.zeros(2), np.array([1.0, -2.0]), params)
         np.testing.assert_allclose(c, [1.0, -2.0])
         np.testing.assert_allclose(h, 0.5 * np.tanh([1.0, -2.0]))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             LstmParams(2, 2, np.zeros((8, 3)), np.zeros(8))
-        params = LstmParams.init(2, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            lstm_cell(np.zeros(3), np.zeros(2), np.zeros(2), params)
+            LstmParams(2, 2, np.zeros((8, 4)), np.zeros(4))
+
+
+def both_directions(x, fwd, bwd):
+    h_fwd, _ = _run_direction(x, fwd, reverse=False)
+    h_bwd, _ = _run_direction(x, bwd, reverse=True)
+    return np.concatenate([h_fwd, h_bwd], axis=1)
 
 
 class TestBiLstm:
@@ -74,7 +86,7 @@ class TestBiLstm:
         params = LstmParams.init(2, 3, rng)
         x = rng.normal(size=(5, 2))
         x_pal = np.concatenate([x, x[-2::-1]])  # palindrome of length 9
-        hidden = bilstm_forward(x_pal, params, params)
+        hidden = both_directions(x_pal, params, params)
         n, h_dim = x_pal.shape[0], 3
         for t in range(n):
             np.testing.assert_allclose(
@@ -85,14 +97,14 @@ class TestBiLstm:
         rng = np.random.default_rng(2)
         fwd, bwd = LstmParams.init(2, 3, rng), LstmParams.init(2, 3, rng)
         x = rng.normal(size=(4, 2))
-        first = bilstm_forward(x, fwd, bwd)
-        second = bilstm_forward(x.copy(), fwd, bwd)
+        first = both_directions(x, fwd, bwd)
+        second = both_directions(x.copy(), fwd, bwd)
         np.testing.assert_array_equal(first, second)
 
     def test_empty_rejected(self):
-        params = LstmParams.init(2, 3, np.random.default_rng(0))
+        _, assembly, fwd, bwd, proj = small_net(np.random.default_rng(0))
         with pytest.raises(ValueError):
-            bilstm_forward(np.zeros((0, 2)), params, params)
+            forward_sentence(Sentence(tokens=[]), assembly, fwd, bwd, proj)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gemm_direction_matches_stepping_the_cell(self, reverse):
@@ -102,7 +114,7 @@ class TestBiLstm:
         hidden, _ = _run_direction(x, params, reverse)
         h, c = np.zeros(3), np.zeros(3)
         for t in (range(5, -1, -1) if reverse else range(6)):
-            h, c = lstm_cell(x[t], h, c, params)
+            h, c = lstm_step(x[t], h, c, params.w, params.b)
             np.testing.assert_allclose(hidden[t], h, rtol=1e-12, atol=1e-12)
 
 
