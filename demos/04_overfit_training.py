@@ -19,7 +19,7 @@ from mmner.synthetic import synthetic_corpus
 from mmner.training import (
     TrainConfig,
     load_model,
-    predict_labels,
+    predict_all,
     save_model,
     train,
 )
@@ -61,7 +61,7 @@ best, log = train(params, train_set, dev_set, config)
 for line in log:
     print(line)
 
-preds = [predict_labels(s, best) for s in train_set]
+preds = predict_all(train_set, best)
 print("\ntraining-set report for the selected model:")
 print(render_report(evaluate(train_set, preds, corpus.scheme)))
 

@@ -13,7 +13,7 @@ from mmner.corpus import build_vocab, encode_corpus, vocab_sources
 from mmner.evaluation import evaluate
 from mmner.model import ModelMeta, init_params
 from mmner.synthetic import synthetic_corpus
-from mmner.training import TrainConfig, predict_labels, train
+from mmner.training import TrainConfig, predict_all, train
 from mmner.triggers import Trigger
 
 BETAS = (0.0, 0.1, 0.2, 0.5, 1.0)
@@ -43,7 +43,7 @@ for beta in BETAS:
         epochs=5, beam_k=8, seed=1, window=3,
     )
     best, log = train(params0.copy(), train_set, dev_set, config)
-    preds = [predict_labels(s, best) for s in dev_set]
+    preds = predict_all(dev_set, best)
     f1 = evaluate(dev_set, preds, corpus.scheme).overall_f1
     final_q = log[-1].split("\t")[2]
     print(f"{beta:g}\t{final_q}\t{f1:.4f}")

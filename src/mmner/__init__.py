@@ -41,6 +41,7 @@ from .training import (
     load_model,
     loss_augmented_predict,
     objective,
+    predict_all,
     predict_labels,
     save_model,
     sgd_step,

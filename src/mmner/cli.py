@@ -27,6 +27,7 @@ from .corpus import (
     encode_corpus,
     load_segmentation,
     parse_conll,
+    split_lines,
     vocab_sources,
 )
 from .embeddings import EmbeddingFormatError, load_pretrained
@@ -46,7 +47,7 @@ from .training import (
     augmented_gap,
     finite_difference_check,
     load_model,
-    predict_labels,
+    predict_all,
     save_model,
     train,
 )
@@ -107,7 +108,7 @@ GRADCHECK_KEYS = ("seed", "trigger", "kappa", "beta", "mode", "bigrams")
 def parse_config(text: str) -> dict[str, str]:
     """Flat "key = value" lines; '#' comments; unknown keys are errors."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -234,15 +235,13 @@ def cmd_train(args) -> int:
     for line in log:
         print(line)
     if dev_set:
-        preds = [predict_labels(s, best) for s in dev_set]
-        print(render_report(evaluate(dev_set, preds, scheme)))
+        print(render_report(evaluate(dev_set, predict_all(dev_set, best), scheme)))
     if v["test"]:
         test_raw = _load_labeled(v["test"], scheme, "test")
         test_set = _encode(test_raw, meta, seg_map)
-        preds = [predict_labels(s, best) for s in test_set]
         surfaces = gold_entity_surfaces(train_raw, scheme)
         print("test set:")
-        print(render_report(evaluate(test_raw, preds, scheme, surfaces)))
+        print(render_report(evaluate(test_raw, predict_all(test_set, best), scheme, surfaces)))
     print(f"model written to {model_out}")
     return 0
 
@@ -252,8 +251,7 @@ def _beta_sweep(configs: list[TrainConfig], params, train_set, dev_set) -> int:
     print("beta\toverall_f1")
     for cfg in configs:
         best, _ = train(params.copy(), train_set, dev_set, cfg)
-        preds = [predict_labels(s, best) for s in eval_set]
-        report = evaluate(eval_set, preds, params.meta.scheme)
+        report = evaluate(eval_set, predict_all(eval_set, best), params.meta.scheme)
         print(f"{cfg.trigger.beta:g}\t{report.overall_f1:.4f}")
     return 0
 
@@ -263,12 +261,10 @@ def cmd_predict(args) -> int:
     raw, _ = parse_conll(_read(args.input, "input"), params.meta.scheme)
     encoded = _encode(raw, params.meta, _seg_map(args.segmented_text))
     scheme = params.meta.scheme
-    blocks = []
-    for sent, enc in zip(raw, encoded):
-        labels = predict_labels(enc, params)
-        blocks.append(
-            "\n".join(f"{tok}\t{scheme.name(lab)}" for tok, lab in zip(sent.tokens, labels))
-        )
+    blocks = [
+        "\n".join(f"{tok}\t{scheme.name(lab)}" for tok, lab in zip(sent.tokens, labels))
+        for sent, labels in zip(raw, predict_all(encoded, params))
+    ]
     if blocks:
         sys.stdout.write("\n\n".join(blocks) + "\n")
     return 0
@@ -279,7 +275,7 @@ def cmd_eval(args) -> int:
     scheme = params.meta.scheme
     gold = _load_labeled(args.gold, scheme, "gold")
     encoded = _encode(gold, params.meta, _seg_map(args.segmented_text))
-    preds = [predict_labels(s, params) for s in encoded]
+    preds = predict_all(encoded, params)
     train_surfaces = None
     if args.train_gold:
         train_surfaces = gold_entity_surfaces(

@@ -28,6 +28,17 @@ class CorpusError(Exception):
     """Malformed corpus file or label inventory."""
 
 
+def split_lines(text: str) -> list[str]:
+    """Lines split at "\\n" only, each without one trailing "\\r" (splitlines
+    would also split at U+2028, U+0085, form feeds and more inside a line)."""
+    return [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
+
+
+def split_fields(line: str) -> list[str]:
+    """Space- or tab-separated fields (str.split() also splits at U+2028 and the like)."""
+    return [f for f in line.replace("\t", " ").split(" ") if f]
+
+
 @dataclass(frozen=True)
 class TagScheme:
     """BIO label inventory over typed entity spans.
@@ -217,7 +228,7 @@ def parse_conll(text: str, scheme: TagScheme) -> tuple[list[Sentence], int]:
             sentences.append(Sentence(tokens))
         tokens, labels = [], []
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             flush()
             continue
@@ -278,15 +289,15 @@ def extract_bigram_features(tokens: list[str], t: int) -> list[str]:
 
 def load_segmentation(lines) -> dict[str, tuple[str, ...]]:
     """Build a character-sequence -> positional-tag lookup from pre-segmented
-    text (words separated by single spaces, one sentence per line).
+    text (words separated by spaces, one sentence per line).
 
     The first segmentation seen for a character sequence wins.
     """
     if isinstance(lines, str):
-        lines = lines.splitlines()
+        lines = split_lines(lines)
     table: dict[str, tuple[str, ...]] = {}
     for line in lines:
-        words = line.split()
+        words = split_fields(line)
         if not words:
             continue
         key = "".join(words)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Sentence, Vocab
+from .corpus import Sentence, Vocab, split_fields, split_lines
 
 UNK_INDEX = 0
 PAD_INDEX = 1
@@ -104,25 +105,20 @@ def load_pretrained(text: str, vocab: Vocab, dim: int, rng: np.random.Generator)
     becomes the mean of every vector parsed from the file (zero when the file
     holds none).
     """
-    lines = text.splitlines()
+    lines = split_lines(text)
     table = random_table(len(vocab), dim, rng)
     total = np.zeros(dim)
     n_read = 0
 
     start = 0
-    if lines:
-        head = lines[0].split()
-        if len(head) == 2:
-            try:
-                int(head[0]), int(head[1])
-                start = 1
-            except ValueError:
-                pass
+    with contextlib.suppress(ValueError):  # a first line of exactly two integers is a header
+        _count, _dim = map(int, split_fields(lines[0]))
+        start = 1
 
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
-        fields = line.split()
+        fields = split_fields(line)
         word, components = fields[0], fields[1:]
         if len(components) != dim:
             raise EmbeddingFormatError(

@@ -88,21 +88,11 @@ def _activate(a: np.ndarray, c_prev: np.ndarray, h_dim: int):
     return a[2 * h_dim:3 * h_dim] * tc, c, tc
 
 
-def _steps(n: int, reverse: bool):
-    return range(n - 1, -1, -1) if reverse else range(n)
-
-
-def _previous(rows: np.ndarray, reverse: bool) -> np.ndarray:
-    """Row t holds the state the recurrence saw before step t (zero first)."""
-    out = np.roll(rows, -1 if reverse else 1, axis=0)
-    out[-1 if reverse else 0] = 0.0
-    return out
-
-
-def _run_direction(inputs: np.ndarray, params: LstmParams, reverse: bool):
-    """(hidden states, cache) of one direction, rows in sentence order; the
-    cache holds the gate activations (n, 4*hidden), the cell states and their
-    tanh (n, hidden).
+def _run_direction(inputs: np.ndarray, params: LstmParams):
+    """(hidden states, cache) of one left-to-right pass over ``inputs``; the
+    cache holds the gate activations (n, 4*hidden), the tanh of the cell
+    states (n, hidden), and the cell and hidden states (n+1, hidden), whose
+    row t is the state step t starts from (row 0 the zero start state).
 
     The input projection of every step is one GEMM; the loop keeps only the
     recurrent matvec and the gate nonlinearities.
@@ -111,35 +101,31 @@ def _run_direction(inputs: np.ndarray, params: LstmParams, reverse: bool):
     act = inputs @ params.w[:, :d].T
     act += params.b
     w_h = params.w[:, d:]
-    c_all, tc_all, hidden = np.empty((n, h_dim)), np.empty((n, h_dim)), np.empty((n, h_dim))
-    h = np.zeros(h_dim)
-    c = np.zeros(h_dim)
-    for t in _steps(n, reverse):
+    tc_all = np.empty((n, h_dim))
+    c_all, h_all = np.zeros((n + 1, h_dim)), np.zeros((n + 1, h_dim))
+    for t in range(n):
         a = act[t]
-        a += w_h @ h
-        h, c, tc = _activate(a, c, h_dim)
-        hidden[t], c_all[t], tc_all[t] = h, c, tc
-    return hidden, (act, c_all, tc_all)
+        a += w_h @ h_all[t]
+        h_all[t + 1], c_all[t + 1], tc_all[t] = _activate(a, c_all[t], h_dim)
+    return h_all[1:], (act, tc_all, c_all, h_all)
 
 
 def _direction_backward(
     d_hidden: np.ndarray,
     inputs: np.ndarray,
-    hidden: np.ndarray,
-    cache: tuple[np.ndarray, np.ndarray, np.ndarray],
+    cache: tuple[np.ndarray, ...],
     params: LstmParams,
-    reverse: bool,
 ):
-    """(dW, db, d_inputs) of one direction. The loop only runs the gate
-    deltas back through time; the weight and input gradients are GEMMs over
-    the stacked deltas."""
+    """(dW, db, d_inputs) of one :func:`_run_direction` pass. The loop only
+    runs the gate deltas back through time; the weight and input gradients
+    are GEMMs over the stacked deltas."""
     n, d, h_dim = inputs.shape[0], params.input_dim, params.hidden_dim
-    act, c, tc = cache
+    act, tc, c_all, h_all = cache
     i, f, o, g = (act[:, k * h_dim:(k + 1) * h_dim] for k in range(4))
     # d a_t = fac_t * (dc, dc, dh, dc) gate by gate
     fac = np.empty((n, 4, h_dim))
     fac[:, 0] = g * i * (1.0 - i)
-    fac[:, 1] = _previous(c, reverse) * f * (1.0 - f)
+    fac[:, 1] = c_all[:-1] * f * (1.0 - f)
     fac[:, 2] = tc * o * (1.0 - o)
     fac[:, 3] = i * (1.0 - g * g)
     dh_to_dc = o * (1.0 - tc * tc)
@@ -147,7 +133,7 @@ def _direction_backward(
     da = np.empty((n, 4, h_dim))
     carry_h = np.zeros(h_dim)
     carry_c = np.zeros(h_dim)
-    for t in _steps(n, not reverse):
+    for t in range(n - 1, -1, -1):
         dh = d_hidden[t] + carry_h
         dc = dh * dh_to_dc[t]
         dc += carry_c
@@ -158,7 +144,7 @@ def _direction_backward(
     da = da.reshape(n, 4 * h_dim)
     dw = np.empty_like(params.w)
     np.matmul(da.T, inputs, out=dw[:, :d])
-    np.matmul(da.T, _previous(hidden, reverse), out=dw[:, d:])
+    np.matmul(da.T, h_all[:-1], out=dw[:, d:])
     return dw, da.sum(axis=0), da @ params.w[:, :d]
 
 
@@ -207,13 +193,14 @@ def forward_sentence(
     proj: ProjectionParams,
 ) -> SentenceCache:
     """Hidden vectors h_t = [forward_t ; backward_t] (n, 2*hidden), their
-    emissions, and the caches of both directions."""
+    emissions, and both directions' caches. The backward direction is the
+    forward routine on the reversed sentence; its cache stays reversed."""
     if len(sentence) == 0:
         raise ValueError("empty sentence")
     inputs = assemble_window(sentence, assembly)
-    h_fwd, fwd_cache = _run_direction(inputs, fwd, reverse=False)
-    h_bwd, bwd_cache = _run_direction(inputs, bwd, reverse=True)
-    hidden = np.concatenate([h_fwd, h_bwd], axis=1)
+    h_fwd, fwd_cache = _run_direction(inputs, fwd)
+    h_bwd, bwd_cache = _run_direction(inputs[::-1], bwd)
+    hidden = np.concatenate([h_fwd, h_bwd[::-1]], axis=1)
     return SentenceCache(sentence, inputs, fwd_cache, bwd_cache, hidden, emissions(hidden, proj))
 
 
@@ -253,11 +240,11 @@ def backward(
 
     h_dim = fwd.hidden_dim
     d_fwd_w, d_fwd_b, d_inputs = _direction_backward(
-        d_hidden[:, :h_dim], cache.inputs, cache.hidden[:, :h_dim], cache.fwd_cache, fwd, False
+        d_hidden[:, :h_dim], cache.inputs, cache.fwd_cache, fwd
     )
     d_bwd_w, d_bwd_b, d_in_bwd = _direction_backward(
-        d_hidden[:, h_dim:], cache.inputs, cache.hidden[:, h_dim:], cache.bwd_cache, bwd, True
+        d_hidden[::-1, h_dim:], cache.inputs[::-1], cache.bwd_cache, bwd
     )
-    d_inputs += d_in_bwd
+    d_inputs += d_in_bwd[::-1]
     d_token, d_feats = assembly_backward(d_inputs, cache.sentence, assembly)
     return NetworkGrads(d_token, d_feats, d_fwd_w, d_fwd_b, d_bwd_w, d_bwd_b, d_w_hy, d_b_y)

@@ -36,6 +36,9 @@ FILLERS = tuple("的了我你他在说去看吃好不")
 
 ENTITY_TYPES = tuple((t.split(".")[0], t.split(".")[1]) for t in SURFACES)
 
+# tiny_instance's model size: small enough to enumerate and finite-difference
+TINY_D_TOKEN, TINY_D_FEATURE, TINY_HIDDEN, TINY_WINDOW = 3, 2, 3, 3
+
 
 @dataclass
 class SyntheticCorpus:
@@ -82,10 +85,6 @@ def tiny_instance(
     mode: str = MODE_POSITIONAL,
     bigrams: bool = True,
     n_tokens: int = 4,
-    d_token: int = 3,
-    d_feature: int = 2,
-    hidden: int = 3,
-    window: int = 3,
 ) -> tuple[ModelParams, Sentence]:
     """A small random model plus one encoded sentence with random valid gold
     labels, sized for exhaustive enumeration and finite differences.
@@ -114,8 +113,8 @@ def tiny_instance(
     token_vocab = build_vocab(token_strings)
     bigram_vocab = build_vocab(bigram_strings) if bigrams else None
     meta = ModelMeta(
-        scheme=scheme, mode=mode, bigrams=bigrams, window=window,
-        d_token=d_token, d_feature=d_feature, hidden_dim=hidden,
+        scheme=scheme, mode=mode, bigrams=bigrams, window=TINY_WINDOW,
+        d_token=TINY_D_TOKEN, d_feature=TINY_D_FEATURE, hidden_dim=TINY_HIDDEN,
         token_itos=tuple(token_vocab.itos),
         bigram_itos=tuple(bigram_vocab.itos) if bigram_vocab else (),
     )

@@ -86,10 +86,19 @@ def _forward(sentence: Sentence, params: ModelParams) -> SentenceCache:
     return forward_sentence(sentence, params.assembly(), params.fwd, params.bwd, params.proj)
 
 
+def predict_all(sentences: list[Sentence], params: ModelParams) -> list[list[int]]:
+    """Plain Viterbi decode of each encoded sentence, in order."""
+    assembly = params.assembly()
+    out = []
+    for sentence in sentences:
+        cache = forward_sentence(sentence, assembly, params.fwd, params.bwd, params.proj)
+        out.append(viterbi(cache.em, params.transitions).labels)
+    return out
+
+
 def predict_labels(sentence: Sentence, params: ModelParams) -> list[int]:
     """Plain Viterbi decode of one encoded sentence."""
-    cache = _forward(sentence, params)
-    return viterbi(cache.em, params.transitions).labels
+    return predict_all([sentence], params)[0]
 
 
 def _hamming_augmented(em: EmissionMatrix, gold: list[int], kappa: float) -> EmissionMatrix:
@@ -268,7 +277,7 @@ def train(
         params.fold()
         mean_q = total_q / len(train_set)
         if dev_set:
-            report = evaluate(dev_set, [predict_labels(s, params) for s in dev_set], scheme)
+            report = evaluate(dev_set, predict_all(dev_set, params), scheme)
             overall = report.overall_f1
             cols = [f"{f:.4f}" for f in
                     (report.groups["named"].f1, report.groups["nominal"].f1, overall)]

@@ -64,6 +64,12 @@ class TestParseConfig:
         with pytest.raises(CliError, match="line 1"):
             parse_config("just some words\n")
 
+    def test_only_newline_ends_a_line(self):
+        text = "train = a\u2028b.conll\r\nepochs = 3\r\n"
+        assert parse_config(text) == {"train": "a\u2028b.conll", "epochs": "3"}
+        with pytest.raises(CliError, match="line 2.*momentum"):
+            parse_config("train = a\u2028b\r\nmomentum = 0.9\r\n")
+
 
 class TestTrain:
     def test_writes_model_and_metrics(self, tmp_path, corpus_files, capsys):

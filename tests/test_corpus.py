@@ -173,6 +173,21 @@ class TestParseConll:
         sentences, _ = parse_conll("a\tO\n\n\n", SCHEME)
         assert len(sentences) == 1
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1e"])
+    def test_only_newline_ends_a_line(self, char):
+        text = f"a{char}b\tO\nc\tO\n\nd\tB-ORG.NAM\n"
+        sentences, _ = parse_conll(text[:text.index("\n\n")], SCHEME)
+        assert sentences[0].tokens == [f"a{char}b", "c"]
+        with pytest.raises(CorpusError, match="line 4"):
+            parse_conll(text, SCHEME)
+
+    def test_crlf(self):
+        sentences, _ = parse_conll("a\tO\r\nb\tB-PER.NAM\r\n\r\nc\tO\r\n", SCHEME)
+        assert [s.tokens for s in sentences] == [["a", "b"], ["c"]]
+        assert sentences[0].gold_labels == labs("O", "B-PER.NAM")
+        with pytest.raises(CorpusError, match="line 2: unknown label 'X'"):
+            parse_conll("a\tO\r\nb\tX\r\n", SCHEME)
+
 
 class TestPositional:
     def test_tags(self):
@@ -217,6 +232,11 @@ class TestSegmentation:
         assert seg_tags_for(list("ABC"), table) == ["B", "E", "S"]
         assert seg_tags_for(list("XY"), table) == ["S", "S"]
         assert seg_tags_for(list("XY"), None) == ["S", "S"]
+
+    def test_lines_end_at_newline_words_at_spaces(self):
+        table = load_segmentation("A\u2028B C\r\nD  E\tF\r\n")
+        assert table == {"A\u2028BC": ("B", "I", "E", "S"), "DEF": ("S", "S", "S")}
+        assert seg_tags_for(list("A\u2028BC"), table) == ["B", "I", "E", "S"]
 
 
 class TestVocab:

@@ -76,6 +76,15 @@ class TestLoadPretrained:
         with pytest.raises(EmbeddingFormatError, match=says):
             load_pretrained(text, VOCAB, 3, np.random.default_rng(0))
 
+    def test_only_newline_ends_a_line(self):
+        vocab = build_vocab(["a\u2028b", "c"])
+        table = load_pretrained("2 2\r\na\u2028b 1 0\r\nc 0 1\r\n", vocab, 2,
+                                np.random.default_rng(0))
+        np.testing.assert_array_equal(table.vectors[vocab.index("a\u2028b")], [1.0, 0.0])
+        np.testing.assert_array_equal(table.vectors[vocab.index("c")], [0.0, 1.0])
+        with pytest.raises(EmbeddingFormatError, match="line 3: expected 2 components, got 1"):
+            load_pretrained("a\u2028b 1 0\r\nc 0 1\r\nd 1\r\n", vocab, 2, np.random.default_rng(0))
+
     def test_no_header_file(self):
         # first line is a regular vector line, not a header
         table = load_pretrained("a 1 0 0\nb 0 1 0", VOCAB, 3, np.random.default_rng(0))

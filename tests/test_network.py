@@ -10,7 +10,6 @@ from mmner.network import (
     LstmParams,
     ProjectionParams,
     _activate,
-    _run_direction,
     backward,
     emissions,
     forward_sentence,
@@ -74,20 +73,19 @@ class TestLstmCell:
             LstmParams(2, 2, np.zeros((8, 4)), np.zeros(4))
 
 
-def both_directions(x, fwd, bwd):
-    h_fwd, _ = _run_direction(x, fwd, reverse=False)
-    h_bwd, _ = _run_direction(x, bwd, reverse=True)
-    return np.concatenate([h_fwd, h_bwd], axis=1)
-
-
 class TestBiLstm:
     def test_palindrome_symmetry(self):
+        # one window position: a palindromic sentence has palindromic input
+        # rows, so with shared parameters the backward half of each row is
+        # the forward half of its mirror row
         rng = np.random.default_rng(1)
-        params = LstmParams.init(2, 3, rng)
-        x = rng.normal(size=(5, 2))
-        x_pal = np.concatenate([x, x[-2::-1]])  # palindrome of length 9
-        hidden = both_directions(x_pal, params, params)
-        n, h_dim = x_pal.shape[0], 3
+        _, assembly, fwd, _, proj = small_net(rng, window=1)
+        ids = [int(i) for i in rng.integers(5, size=5)]
+        feats = [[int(a), int(b)] for a, b in rng.integers(4, size=(5, 2))]
+        ids, feats = ids + ids[-2::-1], feats + feats[-2::-1]  # length 9
+        sent = Sentence(tokens=["x"] * 9, features=feats, token_ids=ids)
+        hidden = forward_sentence(sent, assembly, fwd, fwd, proj).hidden
+        n, h_dim = 9, fwd.hidden_dim
         for t in range(n):
             np.testing.assert_allclose(
                 hidden[t, :h_dim], hidden[n - 1 - t, h_dim:], rtol=1e-12
@@ -95,10 +93,9 @@ class TestBiLstm:
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
-        fwd, bwd = LstmParams.init(2, 3, rng), LstmParams.init(2, 3, rng)
-        x = rng.normal(size=(4, 2))
-        first = both_directions(x, fwd, bwd)
-        second = both_directions(x.copy(), fwd, bwd)
+        sent, assembly, fwd, bwd, proj = small_net(rng, n=4)
+        first = forward_sentence(sent, assembly, fwd, bwd, proj).hidden
+        second = forward_sentence(sent, assembly, fwd, bwd, proj).hidden
         np.testing.assert_array_equal(first, second)
 
     def test_empty_rejected(self):
@@ -108,14 +105,24 @@ class TestBiLstm:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gemm_direction_matches_stepping_the_cell(self, reverse):
+        # forward_sentence's first half steps the cell left to right over the
+        # input rows, its second half right to left
         rng = np.random.default_rng(8)
-        params = LstmParams(4, 3, rng.normal(size=(12, 7)), rng.normal(size=12))
-        x = rng.normal(size=(6, 4)) * 2.0
-        hidden, _ = _run_direction(x, params, reverse)
+        sent, assembly, _, _, proj = small_net(rng, n=6)
+        for table in (assembly.token_table, *assembly.feature_tables):
+            table.vectors *= 20.0  # inputs spread over about +-2
+        width = assembly.width
+        fwd, bwd = (LstmParams(width, 3, rng.normal(size=(12, width + 3)), rng.normal(size=12))
+                    for _ in range(2))
+        cache = forward_sentence(sent, assembly, fwd, bwd, proj)
+        if reverse:
+            params, half, steps = bwd, cache.hidden[:, 3:], range(5, -1, -1)
+        else:
+            params, half, steps = fwd, cache.hidden[:, :3], range(6)
         h, c = np.zeros(3), np.zeros(3)
-        for t in (range(5, -1, -1) if reverse else range(6)):
-            h, c = lstm_step(x[t], h, c, params.w, params.b)
-            np.testing.assert_allclose(hidden[t], h, rtol=1e-12, atol=1e-12)
+        for t in steps:
+            h, c = lstm_step(cache.inputs[t], h, c, params.w, params.b)
+            np.testing.assert_allclose(half[t], h, rtol=1e-12, atol=1e-12)
 
 
 class TestEmissions:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mmner import training
-from mmner.corpus import TagScheme
+from mmner.corpus import Sentence, TagScheme
 from mmner.embeddings import SCALE_FLOOR, RowGrad
 from mmner.model import ModelMeta, ModelParams, init_params
 from mmner.network import EmissionMatrix, forward_sentence
@@ -28,6 +28,7 @@ from mmner.training import (
     load_model,
     loss_augmented_predict,
     objective,
+    predict_all,
     predict_labels,
     save_model,
     sgd_step,
@@ -509,7 +510,7 @@ class TestSerialization:
             load_model(path)
 
     def test_shape_inconsistency(self, tmp_path):
-        params, _ = tiny_instance(10, window=3)
+        params, _ = tiny_instance(10)
         path = str(tmp_path / "m.bin")
         save_model(params, path)
         blob = open(path, "rb").read()
@@ -654,3 +655,17 @@ class TestPredict:
         labels = predict_labels(sent, params)
         assert len(labels) == 5
         assert all(0 <= lab < params.meta.scheme.n_labels for lab in labels)
+
+    def test_predict_all_is_predict_labels_per_sentence(self):
+        corpus = synthetic_corpus(n_sentences=6, seed=3)
+        one = Sentence(corpus.sentences[0].tokens[:1], corpus.sentences[0].gold_labels[:1])
+        raw = [corpus.sentences[0], one, *corpus.sentences[1:]]
+        params, encoded = build_from_raw(raw, corpus.scheme)
+        params.transitions += np.random.default_rng(3).normal(0.0, 0.5, params.transitions.shape)
+        lengths = {len(s) for s in encoded}
+        assert 1 in lengths and len(lengths) > 2
+        labels = predict_all(encoded, params)
+        assert labels == [predict_labels(s, params) for s in encoded]
+        assert labels == [viterbi(forward_em(s, params), params.transitions).labels
+                          for s in encoded]
+        assert predict_all([], params) == []
