@@ -3,8 +3,8 @@
 
 The corpus maps each character to exactly one entity surface (or filler),
 so a working model/trainer pair must reach entity F1 = 1.0 on its own
-training data. This script wires the whole pipeline by hand: vocabularies,
-metadata, parameter init, encoding, the training loop, and serialization.
+training data. This script wires the whole pipeline by hand: metadata and
+vocabularies, parameter init, encoding, the training loop, and serialization.
 """
 
 import os
@@ -12,7 +12,6 @@ import tempfile
 
 import numpy as np
 
-from mmner.corpus import build_vocab, encode_corpus, vocab_sources
 from mmner.evaluation import evaluate, render_report
 from mmner.model import ModelMeta, init_params
 from mmner.synthetic import synthetic_corpus
@@ -31,25 +30,18 @@ print(f"{len(corpus.sentences)} training sentences, e.g.:")
 s = corpus.sentences[0]
 print(" ", " ".join(f"{t}/{corpus.scheme.name(g)}" for t, g in zip(s.tokens, s.gold_labels)))
 
-# vocabularies come from the training split only
-mode, bigrams = "positional", True
-token_strings, bigram_strings = vocab_sources(corpus.sentences, None, mode, bigrams)
-token_vocab = build_vocab(token_strings)
-bigram_vocab = build_vocab(bigram_strings)
-print(f"\n{len(token_vocab)} token types, {len(bigram_vocab)} bigram types")
-
-# small dims keep this demo quick; the defaults are 100/100/100 with window 5
-meta = ModelMeta(
-    scheme=corpus.scheme, mode=mode, bigrams=bigrams, window=3,
-    d_token=16, d_feature=8, hidden_dim=16,
-    token_itos=tuple(token_vocab.itos), bigram_itos=tuple(bigram_vocab.itos),
+# vocabularies come from the training split only; small dims keep this demo
+# quick (the defaults are 100/100/100 with window 5)
+meta = ModelMeta.from_corpus(
+    corpus.sentences, None, scheme=corpus.scheme, mode="positional", bigrams=True,
+    window=3, d_token=16, d_feature=8, hidden_dim=16,
 )
+print(f"\n{len(meta.token_itos)} token types, {len(meta.bigram_itos)} bigram types")
 rng = np.random.default_rng(1)
 params = init_params(meta, rng)
 
-vocabs = meta.feature_vocabs()
-train_set = encode_corpus(corpus.sentences, None, mode, bigrams, token_vocab, vocabs)
-dev_set = encode_corpus(heldout.sentences, None, mode, bigrams, token_vocab, vocabs)
+train_set = meta.encode(corpus.sentences, None)
+dev_set = meta.encode(heldout.sentences, None)
 
 config = TrainConfig(
     trigger=Trigger("integrated", kappa=0.2, beta=0.2),

@@ -9,7 +9,6 @@ the point is the harness."""
 
 import numpy as np
 
-from mmner.corpus import build_vocab, encode_corpus, vocab_sources
 from mmner.evaluation import evaluate
 from mmner.model import ModelMeta, init_params
 from mmner.synthetic import synthetic_corpus
@@ -21,16 +20,12 @@ BETAS = (0.0, 0.1, 0.2, 0.5, 1.0)
 corpus = synthetic_corpus(n_sentences=30, seed=7)
 heldout = synthetic_corpus(n_sentences=10, seed=9)
 
-mode, bigrams = "positional", False
-token_strings, _ = vocab_sources(corpus.sentences, None, mode, bigrams)
-token_vocab = build_vocab(token_strings)
-meta = ModelMeta(
-    scheme=corpus.scheme, mode=mode, bigrams=bigrams, window=3,
-    d_token=16, d_feature=8, hidden_dim=16,
-    token_itos=tuple(token_vocab.itos), bigram_itos=(),
+meta = ModelMeta.from_corpus(
+    corpus.sentences, None, scheme=corpus.scheme, mode="positional", bigrams=False,
+    window=3, d_token=16, d_feature=8, hidden_dim=16,
 )
-train_set = encode_corpus(corpus.sentences, None, mode, bigrams, token_vocab, {})
-dev_set = encode_corpus(heldout.sentences, None, mode, bigrams, token_vocab, {})
+train_set = meta.encode(corpus.sentences, None)
+dev_set = meta.encode(heldout.sentences, None)
 
 # identical initialization for every beta, so the sweep isolates the trigger
 params0 = init_params(meta, np.random.default_rng(1))

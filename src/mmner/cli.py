@@ -23,12 +23,9 @@ from .corpus import (
     CorpusError,
     Sentence,
     TagScheme,
-    build_vocab,
-    encode_corpus,
     load_segmentation,
     parse_conll,
     split_lines,
-    vocab_sources,
 )
 from .embeddings import EmbeddingFormatError, load_pretrained
 from .evaluation import evaluate, gold_entity_surfaces, render_report
@@ -184,15 +181,10 @@ def _seg_map(path: str | None):
     return load_segmentation(_read(path, "segmented text")) if path else None
 
 
-def _encode(sentences: list[Sentence], meta: ModelMeta, seg_map) -> list[Sentence]:
-    return encode_corpus(sentences, seg_map, meta.mode, meta.bigrams,
-                         meta.token_vocab, meta.feature_vocabs())
-
-
 def cmd_train(args) -> int:
     config = parse_config(_read(args.config, "config")) if args.config else {}
     v = _settings(args, config)
-    mode, bigrams, model_out = v["mode"], v["bigrams"], v["model-out"]
+    model_out = v["model-out"]
     scheme = TagScheme.from_entity_types()
     with _usage_errors():
         tc = _train_config(v)
@@ -206,24 +198,18 @@ def cmd_train(args) -> int:
             raise CliError(f"training file {v['train']} must contain labeled sentences")
         dev_raw = _load_labeled(v["dev"], scheme, "dev") if v["dev"] else []
         seg_map = _seg_map(v["segmented-text"])
-        token_strings, bigram_strings = vocab_sources(train_raw, seg_map, mode, bigrams)
-        token_vocab = build_vocab(token_strings)
-        bigram_vocab = build_vocab(bigram_strings) if bigrams else None
-        meta = ModelMeta(
-            scheme=scheme, mode=mode, bigrams=bigrams, window=tc.window,
-            d_token=D_TOKEN, d_feature=D_FEATURE, hidden_dim=HIDDEN_DIM,
-            token_itos=tuple(token_vocab.itos),
-            bigram_itos=tuple(bigram_vocab.itos) if bigram_vocab else (),
-        )
+        meta = ModelMeta.from_corpus(
+            train_raw, seg_map, scheme=scheme, mode=v["mode"], bigrams=v["bigrams"],
+            window=tc.window, d_token=D_TOKEN, d_feature=D_FEATURE, hidden_dim=HIDDEN_DIM)
     rng = np.random.default_rng(tc.seed)
     token_table = None
     if v["embeddings"]:
         text = _read(v["embeddings"], "embeddings")
-        token_table = load_pretrained(text, token_vocab, D_TOKEN, rng)
+        token_table = load_pretrained(text, meta.token_vocab, D_TOKEN, rng)
     params = init_params(meta, rng, token_table)
 
-    train_set = _encode(train_raw, meta, seg_map)
-    dev_set = _encode(dev_raw, meta, seg_map)
+    train_set = meta.encode(train_raw, seg_map)
+    dev_set = meta.encode(dev_raw, seg_map)
     if sweep:
         return _beta_sweep(sweep, params, train_set, dev_set)
 
@@ -238,7 +224,7 @@ def cmd_train(args) -> int:
         print(render_report(evaluate(dev_set, predict_all(dev_set, best), scheme)))
     if v["test"]:
         test_raw = _load_labeled(v["test"], scheme, "test")
-        test_set = _encode(test_raw, meta, seg_map)
+        test_set = meta.encode(test_raw, seg_map)
         surfaces = gold_entity_surfaces(train_raw, scheme)
         print("test set:")
         print(render_report(evaluate(test_raw, predict_all(test_set, best), scheme, surfaces)))
@@ -259,7 +245,7 @@ def _beta_sweep(configs: list[TrainConfig], params, train_set, dev_set) -> int:
 def cmd_predict(args) -> int:
     params = load_model(args.model)
     raw, _ = parse_conll(_read(args.input, "input"), params.meta.scheme)
-    encoded = _encode(raw, params.meta, _seg_map(args.segmented_text))
+    encoded = params.meta.encode(raw, _seg_map(args.segmented_text))
     scheme = params.meta.scheme
     blocks = [
         "\n".join(f"{tok}\t{scheme.name(lab)}" for tok, lab in zip(sent.tokens, labels))
@@ -274,7 +260,7 @@ def cmd_eval(args) -> int:
     params = load_model(args.model)
     scheme = params.meta.scheme
     gold = _load_labeled(args.gold, scheme, "gold")
-    encoded = _encode(gold, params.meta, _seg_map(args.segmented_text))
+    encoded = params.meta.encode(gold, _seg_map(args.segmented_text))
     preds = predict_all(encoded, params)
     train_surfaces = None
     if args.train_gold:

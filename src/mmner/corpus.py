@@ -204,9 +204,9 @@ def labels_from_entities(spans: list[EntitySpan], length: int, scheme: TagScheme
 def parse_conll(text: str, scheme: TagScheme) -> tuple[list[Sentence], int]:
     """Parse CoNLL-style "<token>TAB<label>" lines into sentences.
 
-    Blank lines separate sentences. The label column may be omitted
-    throughout the input (unlabeled mode), but labeled and unlabeled lines
-    cannot be mixed. Invalid BIO in labeled input is repaired with
+    Blank lines (nothing but spaces and tabs) separate sentences. The label
+    column may be omitted throughout the input (unlabeled mode), but labeled
+    and unlabeled lines cannot be mixed. Invalid BIO in labeled input is repaired with
     :func:`repair_bio`; the total number of repairs comes back as the second
     element.
     """
@@ -229,7 +229,7 @@ def parse_conll(text: str, scheme: TagScheme) -> tuple[list[Sentence], int]:
         tokens, labels = [], []
 
     for lineno, line in enumerate(split_lines(text), start=1):
-        if not line.strip():
+        if not line.strip(" \t"):
             flush()
             continue
         columns = line.split("\t")

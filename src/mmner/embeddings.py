@@ -58,7 +58,6 @@ class EmbeddingTable:
 
     dim: int
     vectors: np.ndarray
-    trainable: bool = True
     scale: float = 1.0
 
     def __post_init__(self):
@@ -116,9 +115,9 @@ def load_pretrained(text: str, vocab: Vocab, dim: int, rng: np.random.Generator)
         start = 1
 
     for lineno, line in enumerate(lines[start:], start=start + 1):
-        if not line.strip():
-            continue
         fields = split_fields(line)
+        if not fields:  # only spaces and tabs
+            continue
         word, components = fields[0], fields[1:]
         if len(components) != dim:
             raise EmbeddingFormatError(

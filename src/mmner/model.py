@@ -13,9 +13,13 @@ from .corpus import (
     PAD,
     SEG_VOCAB,
     UNK,
+    Sentence,
     TagScheme,
     Vocab,
+    build_vocab,
+    encode_corpus,
     slot_kinds,
+    vocab_sources,
 )
 from .embeddings import EmbeddingTable, InputAssembly, random_table
 from .network import LstmParams, ProjectionParams
@@ -58,6 +62,24 @@ class ModelMeta:
         for itos in vocabs:
             if tuple(itos[:2]) != (UNK, PAD) or len(set(itos)) != len(itos):
                 raise ValueError(f"a vocabulary must start with {UNK}, {PAD} and hold no duplicate")
+
+    @classmethod
+    def from_corpus(cls, sentences: list[Sentence], seg_map, *, scheme: TagScheme, mode: str,
+                    bigrams: bool, window: int, d_token: int, d_feature: int,
+                    hidden_dim: int) -> "ModelMeta":
+        """Metadata whose vocabularies hold every surface token of the raw
+        ``sentences`` and, with bigrams on, every bigram, in first-occurrence
+        order."""
+        tokens, bigram_strings = vocab_sources(sentences, seg_map, mode, bigrams)
+        return cls(scheme, mode, bigrams, window, d_token, d_feature, hidden_dim,
+                   tuple(build_vocab(tokens).itos),
+                   tuple(build_vocab(bigram_strings).itos) if bigrams else ())
+
+    def encode(self, sentences: list[Sentence], seg_map) -> list[Sentence]:
+        """Raw sentences as this model's input: surface tokens, token ids and
+        feature ids from its own mode, bigrams and vocabularies."""
+        return encode_corpus(sentences, seg_map, self.mode, self.bigrams, self.token_vocab,
+                             self.feature_vocabs())
 
     @property
     def token_vocab(self) -> Vocab:

@@ -17,11 +17,8 @@ from .corpus import (
     MODE_POSITIONAL,
     Sentence,
     TagScheme,
-    build_vocab,
-    encode_sentence,
     positional_tags,
     repair_bio,
-    vocab_sources,
 )
 from .model import ModelMeta, ModelParams, init_params
 
@@ -106,23 +103,14 @@ def tiny_instance(
         take = min(int(rng.integers(1, 4)), left)
         words.append("".join(raw[n_tokens - left:n_tokens - left + take]))
         left -= take
-    seg_tags = [tag for word in words for tag in positional_tags(word)]
-
-    seg_map = {"".join(raw): tuple(seg_tags)}
-    token_strings, bigram_strings = vocab_sources([sent], seg_map, mode, bigrams)
-    token_vocab = build_vocab(token_strings)
-    bigram_vocab = build_vocab(bigram_strings) if bigrams else None
-    meta = ModelMeta(
-        scheme=scheme, mode=mode, bigrams=bigrams, window=TINY_WINDOW,
-        d_token=TINY_D_TOKEN, d_feature=TINY_D_FEATURE, hidden_dim=TINY_HIDDEN,
-        token_itos=tuple(token_vocab.itos),
-        bigram_itos=tuple(bigram_vocab.itos) if bigram_vocab else (),
-    )
+    seg_map = {"".join(raw): tuple(tag for word in words for tag in positional_tags(word))}
+    meta = ModelMeta.from_corpus(
+        [sent], seg_map, scheme=scheme, mode=mode, bigrams=bigrams, window=TINY_WINDOW,
+        d_token=TINY_D_TOKEN, d_feature=TINY_D_FEATURE, hidden_dim=TINY_HIDDEN)
     params = init_params(meta, rng)
     params.transitions += rng.normal(0.0, 0.5, params.transitions.shape)
     params.proj.w_hy *= 3.0
-    encoded = encode_sentence(sent, seg_tags, mode, bigrams, token_vocab, meta.feature_vocabs())
-    return params, encoded
+    return params, meta.encode([sent], seg_map)[0]
 
 
 def to_conll(sentences: list[Sentence], scheme: TagScheme) -> str:

@@ -6,11 +6,12 @@ The per-instance loss is
 
     q_i = max_lbar ( s(x_i, lbar) + Delta(l_i, lbar) ) - s(x_i, l_i)
 
-which is non-negative because the gold sequence itself competes with
-Delta = 0. For the Hamming trigger the inner max is exact: the per-position
-cost folds into the emission log-probabilities and Viterbi decodes the
-augmented problem. For the F-score triggers the max runs over a beam-search
-candidate set (Viterbi-seeded, gold always injected) reranked by s + Delta.
+For the Hamming trigger the inner max is exact: the per-position cost folds
+into the emission log-probabilities and Viterbi decodes the augmented
+problem. For the F-score triggers the max runs over a beam-search candidate
+set reranked by s + Delta. Either way q_i is non-negative without the gold
+sequence among the candidates: the plain Viterbi sequence always competes,
+and its s + Delta is at least s(gold) because Delta >= 0.
 """
 
 from __future__ import annotations
@@ -75,13 +76,6 @@ class TrainingDivergedError(ValueError):
     """An instance loss became non-finite: the parameters overflowed."""
 
 
-def trainable_tensors(params: ModelParams) -> dict[str, np.ndarray]:
-    tensors = params.named_tensors()
-    if not params.token_table.trainable:
-        tensors.pop("emb_token")
-    return tensors
-
-
 def _forward(sentence: Sentence, params: ModelParams) -> SentenceCache:
     return forward_sentence(sentence, params.assembly(), params.fwd, params.bwd, params.proj)
 
@@ -133,10 +127,7 @@ def _augmented_best(
         best = viterbi(_hamming_augmented(em, gold, trigger.kappa), trans)
         return best.labels, best.score
 
-    candidates = beam_topk(em, trans, beam_k)
-    if not any(c.labels == gold for c in candidates):
-        candidates.append(ScoredSequence(list(gold), sentence_score(em, trans, gold)))
-    aug, labels = _ranked(candidates, gold, trigger, scheme)[0]
+    aug, labels = _ranked(beam_topk(em, trans, beam_k), gold, trigger, scheme)[0]
     return labels, aug
 
 
@@ -203,8 +194,8 @@ def instance_gradients(
 
 
 def l2_norm_sq(params: ModelParams) -> float:
-    """Sum of squares over every trainable tensor."""
-    return float(sum((arr * arr).sum() for arr in trainable_tensors(params).values()))
+    """Sum of squares over every tensor."""
+    return float(sum((arr * arr).sum() for arr in params.named_tensors().values()))
 
 
 def objective(dataset: list[Sentence], params: ModelParams, config: TrainConfig) -> float:
@@ -220,15 +211,14 @@ def sgd_step(
 ) -> None:
     """In-place update theta <- theta - lr * (g + lambda * theta).
 
-    Weight decay applies to every trainable tensor on every step, gradient
-    or not; tensors absent from the gradient dict update with g = 0. The
+    Weight decay applies to every tensor on every step, gradient or not;
+    tensors absent from the gradient dict update with g = 0. The
     embedding tables decay lazily through their scale and write only the
     gradient's rows; dense tensors decay in place. Consumes ``grads``.
     """
     grads = grads or {}
     for name, table in params.tables().items():
-        if table.trainable:
-            table.sgd_update(grads.get(name), lr, l2_lambda)
+        table.sgd_update(grads.get(name), lr, l2_lambda)
     for name, arr in params.dense_tensors().items():
         g = grads.get(name)
         if g is not None and g.shape != arr.shape:
@@ -315,28 +305,28 @@ class ModelShapeError(ModelIOError):
     """Tensor inventory or shapes disagree with the metadata."""
 
 
-# the metadata block holds ModelMeta's fields, the scheme's and token_trainable
+# the metadata block holds ModelMeta's fields, the scheme's and token_trainable,
+# which is always true (every tensor trains)
 META_FIELDS = [f.name for f in fields(ModelMeta) if f.name != "scheme"]
 
 
-def _meta_to_json(meta: ModelMeta, token_trainable: bool) -> bytes:
+def _meta_to_json(meta: ModelMeta) -> bytes:
     doc = {name: getattr(meta, name) for name in META_FIELDS}
     doc.update(labels=meta.scheme.labels, entity_types=meta.scheme.entity_types,
-               outside=meta.scheme.outside_label, token_trainable=token_trainable)
+               outside=meta.scheme.outside_label, token_trainable=True)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _meta_from_json(blob: bytes) -> tuple[ModelMeta, bool]:
+def _meta_from_json(blob: bytes) -> ModelMeta:
     doc = json.loads(blob.decode("utf-8"))
     if not isinstance(doc, dict):
         raise ValueError("metadata is not a JSON object")
     scheme = TagScheme(tuple(doc["labels"]), tuple((c, k) for c, k in doc["entity_types"]),
                        doc["outside"])
     values = {k: tuple(doc[k]) if isinstance(doc[k], list) else doc[k] for k in META_FIELDS}
-    meta = ModelMeta(scheme, **values)
-    if type(doc["token_trainable"]) is not bool:
-        raise ValueError("token_trainable must be a boolean")
-    return meta, doc["token_trainable"]
+    if doc["token_trainable"] is not True:
+        raise ValueError("token_trainable must be true")
+    return ModelMeta(scheme, **values)
 
 
 def save_model(params: ModelParams, path: str) -> None:
@@ -348,7 +338,7 @@ def save_model(params: ModelParams, path: str) -> None:
     float64 values row-major. Each tensor is written from its own array; a
     failed save removes the tmp file and leaves ``path`` as it was.
     """
-    meta_blob = _meta_to_json(params.meta, params.token_table.trainable)
+    meta_blob = _meta_to_json(params.meta)
     tensors = params.named_tensors()
     tmp = path + ".tmp"
     try:
@@ -400,7 +390,7 @@ def load_model(path: str) -> ModelParams:
             raise ModelVersionError(f"unsupported model file version {version}")
         (meta_len,) = reader.unpack("<I")
         try:
-            meta, token_trainable = _meta_from_json(reader.take(meta_len))
+            meta = _meta_from_json(reader.take(meta_len))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ModelShapeError(f"bad metadata block: {exc}") from None
         (n_tensors,) = reader.unpack("<I")
@@ -427,7 +417,7 @@ def load_model(path: str) -> ModelParams:
         features = {name: EmbeddingTable(meta.d_feature, tensors[name])
                     for name in FEATURE_TABLES if name in tensors}
         return ModelParams(
-            meta, EmbeddingTable(meta.d_token, tensors["emb_token"], token_trainable),
+            meta, EmbeddingTable(meta.d_token, tensors["emb_token"]),
             features.get("emb_seg"), features.get("emb_bigram"),
             LstmParams(width, meta.hidden_dim, tensors["lstm_fwd_w"], tensors["lstm_fwd_b"]),
             LstmParams(width, meta.hidden_dim, tensors["lstm_bwd_w"], tensors["lstm_bwd_b"]),
@@ -477,7 +467,7 @@ def finite_difference_check(
 ) -> GradCheckReport:
     """Central-difference check of q_i against the analytic subgradient.
 
-    Every element of every trainable tensor is perturbed by +-GRADCHECK_EPS;
+    Every element of every tensor is perturbed by +-GRADCHECK_EPS;
     the relative error |analytic - numeric| / max(1, |analytic|, |numeric|)
     is maximized per tensor. ``corrupt`` names a tensor whose analytic gradient
     gets deliberately broken (fault-injection hook for testing the checker).
@@ -494,7 +484,7 @@ def finite_difference_check(
         grads[corrupt].flat[0] += 1.0
 
     report = GradCheckReport()
-    for name, theta in trainable_tensors(params).items():
+    for name, theta in params.named_tensors().items():
         analytic = grads[name]
         worst = 0.0
         for idx in np.ndindex(theta.shape):

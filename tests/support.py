@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from mmner.corpus import build_vocab, encode_corpus, vocab_sources
 from mmner.model import ModelMeta, init_params
 
 
@@ -19,17 +18,8 @@ def build_from_raw(
     seed=0,
 ):
     """Vocabularies, metadata, fresh params and encoded sentences in one go."""
-    token_strings, bigram_strings = vocab_sources(raw_sentences, seg_map, mode, bigrams)
-    token_vocab = build_vocab(token_strings)
-    bigram_vocab = build_vocab(bigram_strings) if bigrams else None
-    meta = ModelMeta(
-        scheme=scheme, mode=mode, bigrams=bigrams, window=window,
-        d_token=d_token, d_feature=d_feature, hidden_dim=hidden,
-        token_itos=tuple(token_vocab.itos),
-        bigram_itos=tuple(bigram_vocab.itos) if bigram_vocab else (),
-    )
+    meta = ModelMeta.from_corpus(
+        raw_sentences, seg_map, scheme=scheme, mode=mode, bigrams=bigrams, window=window,
+        d_token=d_token, d_feature=d_feature, hidden_dim=hidden)
     params = init_params(meta, np.random.default_rng(seed))
-    encoded = encode_corpus(
-        raw_sentences, seg_map, mode, bigrams, token_vocab, meta.feature_vocabs()
-    )
-    return params, encoded
+    return params, meta.encode(raw_sentences, seg_map)

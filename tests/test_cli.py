@@ -280,6 +280,7 @@ class TestPredict:
         pytest.param({"window": 3.0}, id="float-window"),
         pytest.param({"bigrams": 1}, id="int-bigrams"),
         pytest.param({"token_trainable": "no"}, id="string-token-trainable"),
+        pytest.param({"token_trainable": False}, id="false-token-trainable"),
     ])
     def test_malformed_metadata_exits_2_without_traceback(self, tmp_path, corpus_files, patch):
         code, model = train_once(tmp_path, corpus_files, bigrams="on")

@@ -173,6 +173,15 @@ class TestParseConll:
         sentences, _ = parse_conll("a\tO\n\n\n", SCHEME)
         assert len(sentences) == 1
 
+    @pytest.mark.parametrize("char", ["\u3000", "\u2028"])
+    def test_other_whitespace_line_is_a_token(self, char):
+        sentences, _ = parse_conll(f"a\n{char}\nb\n", SCHEME)
+        assert [s.tokens for s in sentences] == [["a", char, "b"]]
+
+    def test_spaces_and_tabs_line_is_blank(self):
+        sentences, _ = parse_conll("a\tO\n \t \nb\tO\n\t\nc\tO\n", SCHEME)
+        assert [s.tokens for s in sentences] == [["a"], ["b"], ["c"]]
+
     @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1e"])
     def test_only_newline_ends_a_line(self, char):
         text = f"a{char}b\tO\nc\tO\n\nd\tB-ORG.NAM\n"

@@ -23,7 +23,6 @@ class TestTable:
         assert table.vectors.shape == (6, 4)
         np.testing.assert_array_equal(table.vectors[PAD_INDEX], 0.0)
         assert np.abs(table.vectors).max() <= 0.1
-        assert table.trainable
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -84,6 +83,12 @@ class TestLoadPretrained:
         np.testing.assert_array_equal(table.vectors[vocab.index("c")], [0.0, 1.0])
         with pytest.raises(EmbeddingFormatError, match="line 3: expected 2 components, got 1"):
             load_pretrained("a\u2028b 1 0\r\nc 0 1\r\nd 1\r\n", vocab, 2, np.random.default_rng(0))
+
+    def test_only_spaces_and_tabs_make_a_blank_line(self):
+        table = load_pretrained("a 1 0\n \t \nb 0 1\n", VOCAB, 2, np.random.default_rng(0))
+        np.testing.assert_array_equal(table.vectors[VOCAB.index("b")], [0.0, 1.0])
+        with pytest.raises(EmbeddingFormatError, match="line 2: expected 2 components, got 0"):
+            load_pretrained("a 1 0\n\u3000\nb 0 1\n", VOCAB, 2, np.random.default_rng(0))
 
     def test_no_header_file(self):
         # first line is a regular vector line, not a header

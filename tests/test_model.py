@@ -1,0 +1,67 @@
+"""ModelMeta.from_corpus and ModelMeta.encode against the hand-built steps
+they replace: vocab_sources + build_vocab, and encode_corpus."""
+
+import pytest
+
+from mmner.corpus import build_vocab, encode_corpus, load_segmentation, vocab_sources
+from mmner.model import ModelMeta
+from mmner.synthetic import synthetic_corpus
+
+SIZES = dict(window=3, d_token=4, d_feature=2, hidden_dim=3)
+
+
+def hand_built(sentences, seg_map, scheme, mode, bigrams):
+    token_strings, bigram_strings = vocab_sources(sentences, seg_map, mode, bigrams)
+    token_vocab = build_vocab(token_strings)
+    bigram_vocab = build_vocab(bigram_strings) if bigrams else None
+    return ModelMeta(
+        scheme=scheme, mode=mode, bigrams=bigrams, **SIZES,
+        token_itos=tuple(token_vocab.itos),
+        bigram_itos=tuple(bigram_vocab.itos) if bigram_vocab else (),
+    )
+
+
+@pytest.mark.parametrize("bigrams", [True, False], ids=["bigrams", "no-bigrams"])
+@pytest.mark.parametrize("mode", ["positional", "segfeat"])
+def test_from_corpus_and_encode_match_the_hand_built_steps(mode, bigrams):
+    corpus = synthetic_corpus(n_sentences=12, seed=3)
+    heldout = synthetic_corpus(n_sentences=6, seed=4).sentences
+    # the lookup covers half the training sentences; the rest fall back to "S"
+    seg_map = load_segmentation(corpus.seg_lines[:6])
+    assert 0 < sum("".join(s.tokens) in seg_map for s in corpus.sentences) < 12
+
+    meta = ModelMeta.from_corpus(corpus.sentences, seg_map, scheme=corpus.scheme, mode=mode,
+                                 bigrams=bigrams, **SIZES)
+    expected = hand_built(corpus.sentences, seg_map, corpus.scheme, mode, bigrams)
+    assert meta == expected
+    assert (meta.bigram_itos == ()) == (not bigrams)
+    for sentences in (corpus.sentences, heldout):
+        assert meta.encode(sentences, seg_map) == encode_corpus(
+            sentences, seg_map, mode, bigrams, expected.token_vocab, expected.feature_vocabs())
+
+
+def test_vocabularies_keep_first_occurrence_order():
+    corpus = synthetic_corpus(n_sentences=5, seed=3)
+    meta = ModelMeta.from_corpus(corpus.sentences, None, scheme=corpus.scheme,
+                                 mode="segfeat", bigrams=True, **SIZES)
+    chars = [ch for s in corpus.sentences for ch in s.tokens]
+    assert meta.token_itos == ("<unk>", "<pad>", *dict.fromkeys(chars))
+    assert meta.bigram_itos[2] == "</s></s>"  # slot (-2, -1) at the first position
+
+
+def test_encode_maps_unseen_tokens_to_unknown():
+    corpus = synthetic_corpus(n_sentences=5, seed=3)
+    meta = ModelMeta.from_corpus(corpus.sentences[:1], None, scheme=corpus.scheme,
+                                 mode="positional", bigrams=False, **SIZES)
+    (encoded,) = meta.encode(corpus.sentences[1:2], None)
+    seen = set(meta.token_itos)
+    assert encoded.token_ids == [meta.token_vocab.index(t) if t in seen else 0
+                                 for t in encoded.tokens]
+    assert encoded.features == [[] for _ in encoded.tokens]
+
+
+def test_unknown_mode_is_a_value_error():
+    corpus = synthetic_corpus(n_sentences=2, seed=3)
+    with pytest.raises(ValueError, match="representation mode"):
+        ModelMeta.from_corpus(corpus.sentences, None, scheme=corpus.scheme, mode="chars",
+                              bigrams=True, **SIZES)

@@ -454,7 +454,6 @@ class TestSerialization:
             save_model(params, path)
             loaded = load_model(path)
             assert loaded.meta == params.meta
-            assert loaded.token_table.trainable == params.token_table.trainable
             for (n1, a1), (n2, a2) in zip(
                 params.named_tensors().items(), loaded.named_tensors().items()
             ):
@@ -639,14 +638,6 @@ class TestGradCheckHarness:
         )
         assert not report.passed(1e-4)
         assert report.per_tensor["proj_b"] > 0.1
-
-    def test_frozen_token_table_is_skipped(self):
-        params, sent = tiny_instance(12)
-        params.token_table.trainable = False
-        k = params.meta.scheme.n_labels ** len(sent)
-        report = finite_difference_check(sent, params, Trigger("hamming"), k)
-        assert "emb_token" not in report.per_tensor
-        assert report.passed(1e-4)
 
 
 class TestPredict:
