@@ -75,8 +75,7 @@ rng = np.random.default_rng(0)
 assembly = InputAssembly(
     window=3,
     token_table=random_table(len(token_vocab), 4, rng),
-    feature_tables=[random_table(len(bigram_vocab), 2, rng)] * 5,
-    slot_tables=[0, 0, 0, 0, 0],
+    slot_tables=[random_table(len(bigram_vocab), 2, rng)] * 5,
 )
 X = assemble_window(encoded[0], assembly)
 print(f"\nwindow=3, d_token=4, five bigram slots at d_feature=2"

@@ -190,13 +190,14 @@ def cmd_train(args) -> int:
         tc = _train_config(v)
         sweep = [replace(tc, trigger=replace(tc.trigger, kind=INTEGRATED, beta=beta))
                  for beta in v["beta-sweep"] or ()]
-        for key in ("train", "model-out"):
+        for key in ("train",) if sweep else ("train", "model-out"):  # a sweep writes no model
             if v[key] is None:
                 raise CliError(f"no {key} path configured (key {key!r})")
         train_raw = _load_labeled(v["train"], scheme, "training")
         if not train_raw:
             raise CliError(f"training file {v['train']} must contain labeled sentences")
         dev_raw = _load_labeled(v["dev"], scheme, "dev") if v["dev"] else []
+        test_raw = _load_labeled(v["test"], scheme, "test") if v["test"] else []
         seg_map = _seg_map(v["segmented-text"])
         meta = ModelMeta.from_corpus(
             train_raw, seg_map, scheme=scheme, mode=v["mode"], bigrams=v["bigrams"],
@@ -210,6 +211,7 @@ def cmd_train(args) -> int:
 
     train_set = meta.encode(train_raw, seg_map)
     dev_set = meta.encode(dev_raw, seg_map)
+    test_set = meta.encode(test_raw, seg_map)
     if sweep:
         return _beta_sweep(sweep, params, train_set, dev_set)
 
@@ -223,8 +225,6 @@ def cmd_train(args) -> int:
     if dev_set:
         print(render_report(evaluate(dev_set, predict_all(dev_set, best), scheme)))
     if v["test"]:
-        test_raw = _load_labeled(v["test"], scheme, "test")
-        test_set = meta.encode(test_raw, seg_map)
         surfaces = gold_entity_surfaces(train_raw, scheme)
         print("test set:")
         print(render_report(evaluate(test_raw, predict_all(test_set, best), scheme, surfaces)))

@@ -314,12 +314,15 @@ def seg_tags_for(tokens: list[str], seg_map: dict[str, tuple[str, ...]] | None) 
 
     When the sentence's character sequence is absent from the lookup (or no
     lookup is given), every character becomes a single-character word ("S").
+    A hit whose tag count is not the token count raises CorpusError.
     """
-    if seg_map is not None:
-        hit = seg_map.get("".join(tokens))
-        if hit is not None:
-            return list(hit)
-    return ["S"] * len(tokens)
+    hit = (seg_map or {}).get("".join(tokens))
+    if hit is None:
+        return ["S"] * len(tokens)
+    if len(hit) != len(tokens):
+        raise CorpusError(f"segmented text for sentence {''.join(tokens)!r} gives {len(hit)} "
+                          f"tags for its {len(tokens)} tokens")
+    return list(hit)
 
 
 # ---------------------------------------------------------------------------

@@ -146,14 +146,13 @@ class InputAssembly:
     """Recipe for per-position input vectors.
 
     Position t gets the token embeddings of the window around t (padding
-    beyond the sentence ends) followed by one feature embedding per slot.
-    Slots may share a table: ``slot_tables[s]`` indexes ``feature_tables``.
+    beyond the sentence ends) followed by one feature embedding per slot;
+    slot s reads ``slot_tables[s]``, and slots may share a table.
     """
 
     window: int
     token_table: EmbeddingTable
-    feature_tables: list[EmbeddingTable]
-    slot_tables: list[int]
+    slot_tables: list[EmbeddingTable]
 
     def __post_init__(self):
         if self.window < 1 or self.window % 2 == 0:
@@ -161,8 +160,7 @@ class InputAssembly:
 
     @property
     def width(self) -> int:
-        feat = sum(self.feature_tables[i].dim for i in self.slot_tables)
-        return self.window * self.token_table.dim + feat
+        return self.window * self.token_table.dim + sum(t.dim for t in self.slot_tables)
 
 
 def _padded_ids(sentence: Sentence, window: int) -> np.ndarray:
@@ -180,8 +178,7 @@ def assemble_window(sentence: Sentence, assembly: InputAssembly) -> np.ndarray:
     rows *= token.scale
     parts = [rows[k:k + n] for k in range(assembly.window)]
     feats = np.array(sentence.features, dtype=np.intp)
-    for s, table_idx in enumerate(assembly.slot_tables):
-        table = assembly.feature_tables[table_idx]
+    for s, table in enumerate(assembly.slot_tables):
         parts.append(table.vectors[feats[:, s]])
         parts[-1] *= table.scale
     return np.concatenate(parts, axis=1)
@@ -192,8 +189,8 @@ def assembly_backward(
 ) -> tuple[RowGrad, list[RowGrad]]:
     """Scatter input-matrix gradients back onto the embedding tables.
 
-    Returns (token table gradient, per-table feature gradients), each holding
-    only the rows this sentence reads.
+    Returns (token table gradient, feature gradients: one per distinct slot
+    table, in order of first use), each holding only the rows the sentence reads.
     """
     dim = assembly.token_table.dim
     width = assembly.window * dim
@@ -201,14 +198,13 @@ def assembly_backward(
     windows = np.lib.stride_tricks.sliding_window_view(_padded_ids(sentence, assembly.window),
                                                        assembly.window)
     d_tok = _row_grad(windows.ravel(), d_inputs[:, :width].reshape(-1, dim))
-    ids = [[np.empty(0, np.intp)] for _ in assembly.feature_tables]
-    values = [[np.empty((0, t.dim))] for t in assembly.feature_tables]
+    groups: dict[int, tuple[list, list]] = {}  # id(table) -> (ids, values) of its slots
     offset = width
     feats = np.array(sentence.features, dtype=np.intp)
-    for s, table_idx in enumerate(assembly.slot_tables):
-        fdim = assembly.feature_tables[table_idx].dim
-        ids[table_idx].append(feats[:, s])
-        values[table_idx].append(d_inputs[:, offset:offset + fdim])
-        offset += fdim
-    d_feats = [_row_grad(np.concatenate(i), np.concatenate(v)) for i, v in zip(ids, values)]
+    for s, table in enumerate(assembly.slot_tables):
+        ids, values = groups.setdefault(id(table), ([], []))
+        ids.append(feats[:, s])
+        values.append(d_inputs[:, offset:offset + table.dim])
+        offset += table.dim
+    d_feats = [_row_grad(np.concatenate(i), np.concatenate(v)) for i, v in groups.values()]
     return d_tok, d_feats

@@ -29,10 +29,6 @@ D_FEATURE = 100
 HIDDEN_DIM = 100
 WINDOW = 5
 
-# The optional embedding tables, in tensor order: ModelParams.seg_table and
-# .bigram_table. Which of them a model has is ModelMeta.tensor_shapes()'s call.
-FEATURE_TABLES = ("emb_seg", "emb_bigram")
-
 
 @dataclass(frozen=True)
 class ModelMeta:
@@ -119,9 +115,7 @@ class ModelParams:
     """All trainable tensors of one tagger."""
 
     meta: ModelMeta
-    token_table: EmbeddingTable
-    seg_table: EmbeddingTable | None
-    bigram_table: EmbeddingTable | None
+    tables: dict[str, EmbeddingTable]  # tensor name -> embedding table, in tensor order
     fwd: LstmParams
     bwd: LstmParams
     proj: ProjectionParams
@@ -129,18 +123,14 @@ class ModelParams:
 
     def __post_init__(self):
         expected = self.meta.tensor_shapes()
-        found = {name: table.vectors.shape for name, table in self.tables().items()}
+        found = {name: table.vectors.shape for name, table in self.tables.items()}
         found.update((name, arr.shape) for name, arr in self.dense_tensors().items())
         for name in [*expected, *found]:
             if expected.get(name) != found.get(name):
                 raise ValueError(f"tensor {name}: expected shape {expected.get(name)}, "
                                  f"found {found.get(name)}")
-
-    def tables(self) -> dict[str, EmbeddingTable]:
-        """Tensor name -> embedding table, in the fixed tensor order."""
-        tables = {"emb_token": self.token_table, "emb_seg": self.seg_table,
-                  "emb_bigram": self.bigram_table}
-        return {name: table for name, table in tables.items() if table is not None}
+        if list(found) != list(expected):
+            raise ValueError(f"tensors out of order: {', '.join(found)}")
 
     def dense_tensors(self) -> dict[str, np.ndarray]:
         return {
@@ -152,7 +142,7 @@ class ModelParams:
 
     def fold(self) -> None:
         """Fold every table's lazy weight-decay scale into its rows."""
-        for table in self.tables().values():
+        for table in self.tables.values():
             table.fold()
 
     def named_tensors(self) -> dict[str, np.ndarray]:
@@ -162,15 +152,13 @@ class ModelParams:
         serialization, regularization and gradient checks all share. The
         embedding tables are folded first, so every array holds plain values.
         """
-        out = {name: table.fold() for name, table in self.tables().items()}
+        out = {name: table.fold() for name, table in self.tables.items()}
         out.update(self.dense_tensors())
         return out
 
     def assembly(self) -> InputAssembly:
-        pairs = (("seg", self.seg_table), ("bigram", self.bigram_table))
-        features = {kind: table for kind, table in pairs if table is not None}
-        slots = [list(features).index(k) for k in slot_kinds(self.meta.mode, self.meta.bigrams)]
-        return InputAssembly(self.meta.window, self.token_table, list(features.values()), slots)
+        slots = [self.tables[f"emb_{k}"] for k in slot_kinds(self.meta.mode, self.meta.bigrams)]
+        return InputAssembly(self.meta.window, self.tables["emb_token"], slots)
 
     def copy(self) -> "ModelParams":
         """Deep copy of every tensor (metadata is shared, it is frozen)."""
@@ -186,12 +174,11 @@ def init_params(
     """Fresh model: random embeddings (unless a pretrained token table is
     given), scaled-uniform LSTM/projection weights, zero transition scores."""
     shapes = meta.tensor_shapes()
-    if token_table is None:
-        token_table = random_table(*shapes["emb_token"], rng)
-    features = {name: random_table(*shapes[name], rng) for name in FEATURE_TABLES if name in shapes}
+    tables = {name: token_table if name == "emb_token" and token_table is not None
+              else random_table(*shape, rng)
+              for name, shape in shapes.items() if name.startswith("emb_")}
     width = meta.input_width
     fwd = LstmParams.init(width, meta.hidden_dim, rng)
     bwd = LstmParams.init(width, meta.hidden_dim, rng)
     proj = ProjectionParams.init(meta.scheme.n_labels, 2 * meta.hidden_dim, rng)
-    return ModelParams(meta, token_table, features.get("emb_seg"), features.get("emb_bigram"),
-                       fwd, bwd, proj, np.zeros(shapes["transitions"]))
+    return ModelParams(meta, tables, fwd, bwd, proj, np.zeros(shapes["transitions"]))

@@ -28,7 +28,7 @@ import numpy as np
 from .corpus import Sentence, TagScheme
 from .embeddings import EmbeddingTable, RowGrad
 from .evaluation import evaluate
-from .model import FEATURE_TABLES, WINDOW, ModelMeta, ModelParams
+from .model import WINDOW, ModelMeta, ModelParams
 from .network import (
     EmissionMatrix,
     LstmParams,
@@ -182,8 +182,8 @@ def instance_gradients(
     np.add.at(d_log, (rows, gold), -1.0)
     net = backward(cache, d_log, assembly, params.fwd, params.bwd, params.proj)
 
-    # the tables come in assembly order: token, then the feature tables
-    grads = dict(zip(params.tables(), [net.d_token, *net.d_feats]))
+    # d_feats follow first slot use, which tensor_shapes() makes tensor order
+    grads = dict(zip(params.tables, [net.d_token, *net.d_feats]))
     d_trans = np.zeros_like(trans)
     start = [cache.em.n_labels]
     np.add.at(d_trans, (start + labels[:-1], labels), 1.0)
@@ -217,7 +217,7 @@ def sgd_step(
     gradient's rows; dense tensors decay in place. Consumes ``grads``.
     """
     grads = grads or {}
-    for name, table in params.tables().items():
+    for name, table in params.tables.items():
         table.sgd_update(grads.get(name), lr, l2_lambda)
     for name, arr in params.dense_tensors().items():
         g = grads.get(name)
@@ -414,11 +414,10 @@ def load_model(path: str) -> ModelParams:
         raise ModelShapeError(f"tensor inventory mismatch: missing {missing}, unexpected {extra}")
     width = meta.input_width
     try:
-        features = {name: EmbeddingTable(meta.d_feature, tensors[name])
-                    for name in FEATURE_TABLES if name in tensors}
+        tables = {name: EmbeddingTable(shape[1], tensors[name])
+                  for name, shape in expected.items() if name.startswith("emb_")}
         return ModelParams(
-            meta, EmbeddingTable(meta.d_token, tensors["emb_token"]),
-            features.get("emb_seg"), features.get("emb_bigram"),
+            meta, tables,
             LstmParams(width, meta.hidden_dim, tensors["lstm_fwd_w"], tensors["lstm_fwd_b"]),
             LstmParams(width, meta.hidden_dim, tensors["lstm_bwd_w"], tensors["lstm_bwd_b"]),
             ProjectionParams(tensors["proj_w"], tensors["proj_b"]), tensors["transitions"])

@@ -165,6 +165,14 @@ class TestTrain:
         tail = out.split("test set:")[1]
         assert "(" in tail.splitlines()[5]  # hit/total support shown
 
+    def test_missing_test_file_fails_before_training(self, tmp_path, corpus_files, capsys):
+        code, model = train_once(tmp_path, corpus_files, name="late.bin",
+                                 test=str(tmp_path / "missing.conll"))
+        assert code == 2
+        assert "test file not found" in capsys.readouterr().err
+        assert not model.exists()
+        assert not model.with_name("late.bin.log").exists()
+
     def test_segmented_mode(self, tmp_path, corpus_files):
         code, model = train_once(
             tmp_path, corpus_files, name="seg.bin",
@@ -335,6 +343,15 @@ class TestBetaSweep:
         for row in body:
             assert 0.0 <= float(row[1]) <= 1.0
 
+    def test_no_model_out_needed(self, tmp_path, corpus_files, capsys):
+        cfg = write_config(tmp_path / "nm.cfg", train=str(corpus_files / "train.conll"),
+                           epochs="1", trigger="integrated")
+        assert main(["train", "--config", str(cfg), "--beta-sweep", "0.5"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "beta\toverall_f1"
+        assert [line.split("\t")[0] for line in lines[1:]] == ["0.5"]
+        assert list(tmp_path.iterdir()) == [cfg]  # a sweep writes no model
+
     def test_bad_list(self, tmp_path, corpus_files, capsys):
         model = tmp_path / "s.bin"
         cfg = write_config(
@@ -388,6 +405,29 @@ class TestBadSettings:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert says in err
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("where", ["train", "dev", "test", "predict", "eval"])
+    def test_segmentation_tag_count_mismatch(self, tmp_path, corpus_files, capsys, where):
+        # the segmented line "ab c" gives three tags to the two tokens "ab", "c"
+        odd = tmp_path / "odd.conll"
+        odd.write_text("ab\tO\nc\tO\n", "utf-8")
+        seg = tmp_path / "seg.txt"
+        seg.write_text("ab c\n", "utf-8")
+        if where in ("predict", "eval"):
+            code, model = train_once(tmp_path, corpus_files)
+            assert code == 0
+            capsys.readouterr()
+            argv = [where, str(model), str(odd), "--segmented-text", str(seg)]
+        else:
+            files = {"train": str(corpus_files / "train.conll"), where: str(odd)}
+            cfg = write_config(tmp_path / "c.cfg", model_out=str(tmp_path / "m.bin"),
+                               segmented_text=str(seg), **files)
+            argv = ["train", "--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert "'abc'" in err and "3 tags" in err and "2 tokens" in err
         assert not (tmp_path / "m.bin").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

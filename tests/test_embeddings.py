@@ -108,14 +108,14 @@ def encoded_sentence(token_ids, features=None):
 class TestAssembly:
     def test_window_one_is_identity(self):
         table = random_table(5, 3, np.random.default_rng(0))
-        assembly = InputAssembly(1, table, [], [])
+        assembly = InputAssembly(1, table, [])
         sent = encoded_sentence([2, 4])
         out = assemble_window(sent, assembly)
         np.testing.assert_array_equal(out, table.vectors[[2, 4]])
 
     def test_window_three_pads_flanks(self):
         table = random_table(5, 2, np.random.default_rng(1))
-        assembly = InputAssembly(3, table, [], [])
+        assembly = InputAssembly(3, table, [])
         out = assemble_window(encoded_sentence([3]), assembly)
         expected = np.concatenate(
             [table.vectors[PAD_INDEX], table.vectors[3], table.vectors[PAD_INDEX]]
@@ -127,7 +127,7 @@ class TestAssembly:
         rng = np.random.default_rng(2)
         token = random_table(4, 2, rng)
         feat = random_table(6, 3, rng)
-        assembly = InputAssembly(1, token, [feat], [0, 0])
+        assembly = InputAssembly(1, token, [feat, feat])
         sent = encoded_sentence([2, 3], features=[[4, 5], [5, 2]])
         out = assemble_window(sent, assembly)
         assert out.shape == (2, 2 + 3 + 3)
@@ -137,14 +137,14 @@ class TestAssembly:
 
     def test_width_is_constant(self):
         rng = np.random.default_rng(3)
-        assembly = InputAssembly(3, random_table(7, 4, rng), [random_table(5, 2, rng)], [0])
+        assembly = InputAssembly(3, random_table(7, 4, rng), [random_table(5, 2, rng)])
         for n in (1, 2, 5):
             sent = encoded_sentence([2] * n, features=[[3]] * n)
             assert assemble_window(sent, assembly).shape == (n, assembly.width)
 
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
-            InputAssembly(2, random_table(4, 2, np.random.default_rng(0)), [], [])
+            InputAssembly(2, random_table(4, 2, np.random.default_rng(0)), [])
 
 
 class TestAssemblyBackward:
@@ -152,7 +152,7 @@ class TestAssemblyBackward:
         rng = np.random.default_rng(4)
         token = random_table(6, 3, rng)
         feat = random_table(5, 2, rng)
-        assembly = InputAssembly(3, token, [feat], [0, 0])
+        assembly = InputAssembly(3, token, [feat, feat])
         sent = encoded_sentence([2, 2, 4], features=[[2, 3], [3, 3], [4, 2]])
         d_inputs = rng.normal(size=(3, assembly.width))
 
@@ -171,9 +171,26 @@ class TestAssemblyBackward:
                 table[idx] = orig
                 np.testing.assert_allclose(grad[idx], (up - down) / (2 * eps), atol=1e-6)
 
+    def test_shared_table_gets_one_gradient_in_order_of_first_use(self):
+        rng = np.random.default_rng(6)
+        token, seg, bigram = (random_table(n, dim, rng) for n, dim in ((4, 1), (3, 2), (5, 2)))
+        assembly = InputAssembly(1, token, [bigram, seg, bigram])
+        sent = encoded_sentence([2, 3], features=[[3, 2, 4], [4, 2, 4]])
+        d_inputs = rng.normal(size=(2, assembly.width))
+        _, d_feats = assembly_backward(d_inputs, sent, assembly)
+        assert len(d_feats) == 2
+        d_bigram, d_seg = d_feats
+        # columns: token 0, bigram slot 1:3, seg slot 3:5, bigram slot 5:7
+        assert d_bigram.rows.tolist() == [3, 4]
+        np.testing.assert_array_equal(d_bigram.values[0], d_inputs[0, 1:3])
+        np.testing.assert_allclose(d_bigram.values[1],
+                                   d_inputs[0, 5:7] + d_inputs[1, 1:3] + d_inputs[1, 5:7])
+        assert d_seg.rows.tolist() == [2]
+        np.testing.assert_allclose(d_seg.values[0], d_inputs[0, 3:5] + d_inputs[1, 3:5])
+
     def test_repeated_ids_accumulate(self):
         token = random_table(4, 1, np.random.default_rng(5))
-        assembly = InputAssembly(1, token, [], [])
+        assembly = InputAssembly(1, token, [])
         sent = encoded_sentence([2, 2])
         d_tok, _ = assembly_backward(np.ones((2, 1)), sent, assembly)
         assert d_tok.rows.tolist() == [2]

@@ -1,11 +1,13 @@
 """The package carries no code without a caller: every module-level name in
-src/mmner is used somewhere else in the package or exported by it."""
+src/mmner is used somewhere else in the package or exported by it. The
+README's "Layout" block lists each of its modules."""
 
 import ast
 import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mmner"
+README = PACKAGE.parent.parent / "README.md"
 
 
 def _definitions(tree: ast.Module):
@@ -44,3 +46,9 @@ def uncalled(package: Path) -> list[str]:
 
 def test_every_src_name_has_a_caller():
     assert uncalled(PACKAGE) == []
+
+
+def test_readme_layout_lists_every_module():
+    block = README.read_text("utf-8").split("## Layout", 1)[1].split("```")[1]
+    listed = set(re.findall(r"^ +(\w+\.py) ", block, re.MULTILINE))
+    assert listed == {path.name for path in PACKAGE.glob("*.py")} - {"__init__.py"}

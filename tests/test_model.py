@@ -1,11 +1,17 @@
 """ModelMeta.from_corpus and ModelMeta.encode against the hand-built steps
-they replace: vocab_sources + build_vocab, and encode_corpus."""
+they replace (vocab_sources + build_vocab, and encode_corpus), and
+ModelParams.tables: the embedding tables keyed by tensor name."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from mmner.corpus import build_vocab, encode_corpus, load_segmentation, vocab_sources
-from mmner.model import ModelMeta
-from mmner.synthetic import synthetic_corpus
+from mmner.corpus import build_vocab, encode_corpus, load_segmentation, slot_kinds, vocab_sources
+from mmner.embeddings import random_table
+from mmner.model import ModelMeta, init_params
+from mmner.synthetic import synthetic_corpus, tiny_instance
+from mmner.training import load_model, save_model
 
 SIZES = dict(window=3, d_token=4, d_feature=2, hidden_dim=3)
 
@@ -65,3 +71,38 @@ def test_unknown_mode_is_a_value_error():
     with pytest.raises(ValueError, match="representation mode"):
         ModelMeta.from_corpus(corpus.sentences, None, scheme=corpus.scheme, mode="chars",
                               bigrams=True, **SIZES)
+
+
+@pytest.mark.parametrize("bigrams", [True, False], ids=["bigrams", "no-bigrams"])
+@pytest.mark.parametrize("mode", ["positional", "segfeat"])
+def test_tables_are_the_emb_tensors_in_tensor_order(tmp_path, mode, bigrams):
+    params, _ = tiny_instance(3, mode=mode, bigrams=bigrams)
+    names = [name for name in params.meta.tensor_shapes() if name.startswith("emb_")]
+    assert names == ["emb_token", *["emb_seg"] * (mode == "segfeat"), *["emb_bigram"] * bigrams]
+    assert list(params.tables) == names
+    assembly = params.assembly()
+    assert assembly.token_table is params.tables["emb_token"]
+    kinds = slot_kinds(mode, bigrams)
+    assert len(assembly.slot_tables) == len(kinds)
+    for table, kind in zip(assembly.slot_tables, kinds):
+        assert table is params.tables[f"emb_{kind}"]
+    save_model(params, str(tmp_path / "m.bin"))
+    assert list(load_model(str(tmp_path / "m.bin")).tables) == names
+
+
+def test_tables_out_of_tensor_order_are_rejected():
+    params, _ = tiny_instance(3, mode="segfeat", bigrams=True)
+    swapped = dict(reversed(list(params.tables.items())))
+    with pytest.raises(ValueError, match="out of order"):
+        dataclasses.replace(params, tables=swapped)
+
+
+def test_pretrained_token_table_is_kept_and_draws_nothing():
+    params, _ = tiny_instance(3, mode="segfeat", bigrams=True)
+    meta, token = params.meta, params.tables["emb_token"]
+    given = init_params(meta, np.random.default_rng(7), token)
+    assert given.tables["emb_token"] is token
+    rng = np.random.default_rng(7)  # the feature tables draw first, in tensor order
+    for name in ("emb_seg", "emb_bigram"):
+        expected = random_table(*meta.tensor_shapes()[name], rng)
+        np.testing.assert_array_equal(given.tables[name].vectors, expected.vectors)

@@ -109,7 +109,7 @@ class TestBiLstm:
         # input rows, its second half right to left
         rng = np.random.default_rng(8)
         sent, assembly, _, _, proj = small_net(rng, n=6)
-        for table in (assembly.token_table, *assembly.feature_tables):
+        for table in (assembly.token_table, assembly.slot_tables[0]):  # the slots share one table
             table.vectors *= 20.0  # inputs spread over about +-2
         width = assembly.width
         fwd, bwd = (LstmParams(width, 3, rng.normal(size=(12, width + 3)), rng.normal(size=12))
@@ -158,7 +158,7 @@ class TestEmissions:
 def small_net(rng, n=3, window=3, d_tok=2, d_feat=2, hidden=3, n_labels=3):
     token = random_table(5, d_tok, rng)
     feat = random_table(4, d_feat, rng)
-    assembly = InputAssembly(window, token, [feat], [0, 0])
+    assembly = InputAssembly(window, token, [feat, feat])
     fwd = LstmParams.init(assembly.width, hidden, rng)
     bwd = LstmParams.init(assembly.width, hidden, rng)
     proj = ProjectionParams.init(n_labels, 2 * hidden, rng)
@@ -177,7 +177,7 @@ class TestBackward:
         cache = forward_sentence(sent, assembly, fwd, bwd, proj)
         grads = backward(cache, np.zeros_like(cache.em.log_probs), assembly, fwd, bwd, proj)
         d_token = grads.d_token.dense(assembly.token_table.size)
-        d_feat = grads.d_feats[0].dense(assembly.feature_tables[0].size)
+        d_feat = grads.d_feats[0].dense(assembly.slot_tables[0].size)
         for arr in (d_token, grads.d_fwd_w, grads.d_fwd_b, grads.d_bwd_w,
                     grads.d_bwd_b, grads.d_w_hy, grads.d_b_y, d_feat):
             np.testing.assert_array_equal(arr, 0.0)
@@ -195,8 +195,8 @@ class TestBackward:
         grads = backward(cache, upstream, assembly, fwd, bwd, proj)
         named = [
             (assembly.token_table.vectors, grads.d_token.dense(assembly.token_table.size)),
-            (assembly.feature_tables[0].vectors,
-             grads.d_feats[0].dense(assembly.feature_tables[0].size)),
+            (assembly.slot_tables[0].vectors,
+             grads.d_feats[0].dense(assembly.slot_tables[0].size)),
             (fwd.w, grads.d_fwd_w),
             (fwd.b, grads.d_fwd_b),
             (bwd.w, grads.d_bwd_w),

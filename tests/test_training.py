@@ -249,14 +249,14 @@ class TestSgdStep:
         params, _ = tiny_instance(15)
         rng = np.random.default_rng(15)
         grads = {name: rng.normal(size=arr.shape) for name, arr in params.dense_tensors().items()}
-        for name, table in params.tables().items():
+        for name, table in params.tables.items():
             rows = np.sort(rng.choice(table.size, size=3, replace=False))
             grads[name] = RowGrad(rows, rng.normal(size=(3, table.dim)))
         reference = params.copy()
-        for table in (*params.tables().values(), *reference.tables().values()):
+        for table in (*params.tables.values(), *reference.tables.values()):
             table.scale = 0.7
         lr = 0.1
-        for name, table in reference.tables().items():
+        for name, table in reference.tables.items():
             table.scale *= 1.0 - lr * l2
             g = grads[name]
             table.vectors[g.rows] -= (lr / table.scale) * g.values
@@ -265,9 +265,9 @@ class TestSgdStep:
                 arr *= 1.0 - lr * l2
             arr -= lr * grads[name]
         sgd_step(params, grads, lr, l2)
-        for name, table in params.tables().items():
-            assert table.scale == reference.tables()[name].scale
-            assert (table.vectors == reference.tables()[name].vectors).all(), name
+        for name, table in params.tables.items():
+            assert table.scale == reference.tables[name].scale
+            assert (table.vectors == reference.tables[name].vectors).all(), name
         for name, arr in params.dense_tensors().items():
             assert (arr == reference.dense_tensors()[name]).all(), name
 
@@ -374,7 +374,7 @@ class TestLazyL2:
             assert (1 - config.learning_rate * l2) ** 9 > SCALE_FLOOR
         reference = dense_decay_train(params.copy(), encoded, config)
         trained, _ = train(params, encoded, [], config)
-        assert trained.token_table.scale == params.token_table.scale == 1.0
+        assert trained.tables["emb_token"].scale == params.tables["emb_token"].scale == 1.0
         # At lr * lambda == 1 the dense reference computes
         # theta - lr * (g + lambda * theta) and keeps a rounding residue of
         # theta, where the scale step zeroes it exactly.
@@ -388,7 +388,7 @@ class TestLazyL2:
         params, _ = tiny_instance(13)
         expected = {name: arr * 0.95 for name, arr in params.named_tensors().items()}
         sgd_step(params, None, lr=0.1, l2_lambda=0.5)
-        assert params.bigram_table.scale == 0.95  # pending, not yet folded
+        assert params.tables["emb_bigram"].scale == 0.95  # pending, not yet folded
         if reader == "copy":
             seen = params.copy()
         elif reader == "save_model":
@@ -399,8 +399,8 @@ class TestLazyL2:
         tensors = seen.named_tensors()
         for name, arr in expected.items():
             np.testing.assert_allclose(tensors[name], arr, rtol=1e-15, err_msg=name)
-        assert all(t.scale == 1.0 for t in seen.tables().values())
-        assert all(t.scale == 1.0 for t in params.tables().values())
+        assert all(t.scale == 1.0 for t in seen.tables.values())
+        assert all(t.scale == 1.0 for t in params.tables.values())
 
     def test_train_leaves_tables_folded(self):
         corpus = synthetic_corpus(4, seed=6)
@@ -408,17 +408,17 @@ class TestLazyL2:
         config = TrainConfig(Trigger("integrated"), l2_lambda=0.3, epochs=2, seed=6, window=3)
         seen = []
         best, _ = train(params, encoded, [], config,
-                        epoch_hook=lambda e, p: seen.append([t.scale for t in p.tables().values()]))
+                        epoch_hook=lambda e, p: seen.append([t.scale for t in p.tables.values()]))
         assert seen == [[1.0, 1.0], [1.0, 1.0]]
-        assert [t.scale for t in best.tables().values()] == [1.0, 1.0]
+        assert [t.scale for t in best.tables.values()] == [1.0, 1.0]
 
     def test_only_touched_rows_are_written(self):
         params, sent = tiny_instance(14)
         _, _, grads = instance_gradients(sent, params, Trigger("hamming"), 8)
         assert grads is not None and isinstance(grads["emb_bigram"], RowGrad)
-        before = params.bigram_table.vectors.copy()
+        before = params.tables["emb_bigram"].vectors.copy()
         sgd_step(params, grads, lr=0.1, l2_lambda=0.0)
-        changed = np.flatnonzero((params.bigram_table.vectors != before).any(axis=1))
+        changed = np.flatnonzero((params.tables["emb_bigram"].vectors != before).any(axis=1))
         assert set(changed) <= set(grads["emb_bigram"].rows.tolist())
 
 
