@@ -9,7 +9,6 @@ from mmner.corpus import (
     TagScheme,
     build_vocab,
     encode_corpus,
-    extract_bigram_features,
     load_segmentation,
     parse_conll,
     positional_tags,
@@ -59,9 +58,10 @@ print("lookup for the joined sentence:", seg["张伟去北京"])
 
 # Bigram templates around position t: (t-2,t-1) (t-1,t) (t,t+1) (t+1,t+2)
 # and the skip pair (t-1,t+1); out-of-range slots read a boundary marker.
-chars = list("张伟去北京")
-for t in range(len(chars)):
-    print(f"bigrams at t={t}:", extract_bigram_features(chars, t))
+# With bigrams on, represent gives each position one string per template.
+_, rows = represent(sentences[0], list(seg["张伟去北京"]), "positional", True)
+for t, row in enumerate(rows):
+    print(f"bigrams at t={t}:", row)
 
 # Everything above feeds a per-position vector: a window of token embeddings
 # concatenated with one embedding per feature slot.

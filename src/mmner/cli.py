@@ -193,6 +193,10 @@ def cmd_train(args) -> int:
         for key in ("train",) if sweep else ("train", "model-out"):  # a sweep writes no model
             if v[key] is None:
                 raise CliError(f"no {key} path configured (key {key!r})")
+        for key in () if sweep else ("model-out", "metrics-out"):  # nor a metrics log
+            folder = os.path.dirname(v[key] or "")
+            if folder and not os.path.isdir(folder):
+                raise CliError(f"{key} directory not found: {folder}")
         train_raw = _load_labeled(v["train"], scheme, "training")
         if not train_raw:
             raise CliError(f"training file {v['train']} must contain labeled sentences")

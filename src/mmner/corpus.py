@@ -17,7 +17,9 @@ MODE_POSITIONAL = "positional"
 MODE_SEGFEAT = "segfeat"
 MODES = (MODE_POSITIONAL, MODE_SEGFEAT)
 
-N_BIGRAM_SLOTS = 5
+# character-bigram templates: the offset pairs, relative to a position, of
+# the two characters each joins; out-of-range positions give BOUNDARY
+BIGRAM_OFFSETS = ((-2, -1), (-1, 0), (0, 1), (1, 2), (-1, 1))
 
 DEFAULT_ENTITY_TYPES = tuple(
     (cat, kind) for cat in ("PER", "ORG", "LOC", "GPE") for kind in ("NAM", "NOM")
@@ -118,7 +120,7 @@ class Sentence:
     ``tokens`` are surface strings, either raw characters or positional
     characters depending on the chosen representation. ``features`` holds
     per-position discrete feature ids, one id per feature slot; ``token_ids``
-    are vocabulary indices filled in by :func:`encode_sentence`.
+    are vocabulary indices filled in by :func:`encode_corpus`.
     """
 
     tokens: list[str]
@@ -266,27 +268,6 @@ def positional_tags(word: str) -> list[str]:
     return ["B"] + ["I"] * (len(word) - 2) + ["E"]
 
 
-def extract_bigram_features(tokens: list[str], t: int) -> list[str]:
-    """The five character-bigram templates around position t.
-
-    Offsets (-2,-1), (-1,0), (0,1), (1,2) and the skip pair (-1,1);
-    out-of-range positions contribute the boundary symbol.
-    """
-    if not 0 <= t < len(tokens):
-        raise ValueError(f"position {t} out of range")
-
-    def tok(i):
-        return tokens[i] if 0 <= i < len(tokens) else BOUNDARY
-
-    return [
-        tok(t - 2) + tok(t - 1),
-        tok(t - 1) + tok(t),
-        tok(t) + tok(t + 1),
-        tok(t + 1) + tok(t + 2),
-        tok(t - 1) + tok(t + 1),
-    ]
-
-
 def load_segmentation(lines) -> dict[str, tuple[str, ...]]:
     """Build a character-sequence -> positional-tag lookup from pre-segmented
     text (words separated by spaces, one sentence per line).
@@ -374,12 +355,13 @@ def slot_kinds(mode: str, bigrams: bool) -> list[str]:
         raise ValueError(f"unknown representation mode {mode!r}")
     kinds = ["seg"] if mode == MODE_SEGFEAT else []
     if bigrams:
-        kinds.extend(["bigram"] * N_BIGRAM_SLOTS)
+        kinds.extend(["bigram"] * len(BIGRAM_OFFSETS))
     return kinds
 
 
 def represent(sentence: Sentence, seg_tags: list[str], mode: str, bigrams: bool):
-    """Surface tokens and per-position feature strings for one sentence."""
+    """Surface tokens and per-position feature strings for one sentence: row t
+    holds position t's string for each slot of :func:`slot_kinds`, in order."""
     raw = sentence.tokens
     if len(seg_tags) != len(raw):
         raise ValueError("segmentation tag count does not match token count")
@@ -389,33 +371,12 @@ def represent(sentence: Sentence, seg_tags: list[str], mode: str, bigrams: bool)
         surface = list(raw)
     else:
         raise ValueError(f"unknown representation mode {mode!r}")
-    slots: list[list[str]] = []
-    for t in range(len(raw)):
-        row = [seg_tags[t]] if mode == MODE_SEGFEAT else []
-        if bigrams:
-            row.extend(extract_bigram_features(raw, t))
-        slots.append(row)
-    return surface, slots
-
-
-def encode_sentence(
-    sentence: Sentence,
-    seg_tags: list[str],
-    mode: str,
-    bigrams: bool,
-    token_vocab: Vocab,
-    vocabs: dict[str, Vocab],
-) -> Sentence:
-    """Return a copy of the sentence carrying surface tokens and mapped ids."""
-    surface, slots = represent(sentence, seg_tags, mode, bigrams)
-    kinds = slot_kinds(mode, bigrams)
-    features = [[vocabs[kind].index(s) for kind, s in zip(kinds, row)] for row in slots]
-    return replace(
-        sentence,
-        tokens=surface,
-        token_ids=[token_vocab.index(tok) for tok in surface],
-        features=features,
-    )
+    columns = [seg_tags] if mode == MODE_SEGFEAT else []
+    if bigrams:
+        padded = [BOUNDARY, BOUNDARY, *raw, BOUNDARY, BOUNDARY]
+        columns += [list(map(str.__add__, padded[2 + a:2 + a + len(raw)], padded[2 + b:]))
+                    for a, b in BIGRAM_OFFSETS]
+    return surface, [list(row) for row in zip(*columns)] if columns else [[] for _ in raw]
 
 
 def encode_corpus(
@@ -426,10 +387,15 @@ def encode_corpus(
     token_vocab: Vocab,
     vocabs: dict[str, Vocab],
 ) -> list[Sentence]:
+    """Copies of the sentences carrying surface tokens, token ids and one
+    feature id per slot of :func:`slot_kinds`, mapped a slot at a time."""
+    lookups = [vocabs[kind].index for kind in slot_kinds(mode, bigrams)]
     out = []
     for sent in sentences:
-        tags = seg_tags_for(sent.tokens, seg_map)
-        out.append(encode_sentence(sent, tags, mode, bigrams, token_vocab, vocabs))
+        surface, rows = represent(sent, seg_tags_for(sent.tokens, seg_map), mode, bigrams)
+        columns = [list(map(index, column)) for index, column in zip(lookups, zip(*rows))]
+        out.append(replace(sent, tokens=surface, token_ids=list(map(token_vocab.index, surface)),
+                           features=list(map(list, zip(*columns))) if columns else rows))
     return out
 
 
@@ -439,14 +405,14 @@ def vocab_sources(
     mode: str,
     bigrams: bool,
 ) -> tuple[list[str], list[str]]:
-    """All surface tokens and bigram strings a corpus produces, for vocab building."""
+    """All surface tokens and bigram strings a corpus produces, for vocab
+    building: the bigrams position after position, each in template order."""
     token_strings: list[str] = []
     bigram_strings: list[str] = []
     for sent in sentences:
-        tags = seg_tags_for(sent.tokens, seg_map)
-        surface, slots = represent(sent, tags, mode, bigrams)
+        surface, rows = represent(sent, seg_tags_for(sent.tokens, seg_map), mode, bigrams)
         token_strings.extend(surface)
         if bigrams:
-            for row in slots:
-                bigram_strings.extend(row[-N_BIGRAM_SLOTS:])
+            for row in rows:
+                bigram_strings.extend(row[-len(BIGRAM_OFFSETS):])
     return token_strings, bigram_strings

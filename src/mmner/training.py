@@ -380,7 +380,8 @@ class _Reader:
 
 def load_model(path: str) -> ModelParams:
     """Read a model file back; inverse of :func:`save_model`, bit-exact.
-    Each tensor is read straight into its own array."""
+    Each tensor is read straight into its own array; one holding a NaN or
+    an infinity is rejected."""
     with open(path, "rb") as fh:
         reader = _Reader(fh)
         if reader.take(len(MODEL_MAGIC)) != MODEL_MAGIC:
@@ -404,6 +405,8 @@ def load_model(path: str) -> ModelParams:
                 tensors[name] = reader.take(8 * math.prod(shape), lambda _: np.empty(shape, "<f8"))
             except ValueError as exc:  # numpy caps the rank (at 64) and the size
                 raise ModelShapeError(f"tensor {name}: {exc}") from None
+            if not np.isfinite(tensors[name]).all():
+                raise ModelIOError(f"tensor {name} holds a NaN or infinite value")
         if reader.left:
             raise ModelShapeError(f"{reader.left} trailing bytes after last tensor")
 

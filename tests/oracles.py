@@ -7,12 +7,15 @@ one exception is reference_beam, the earlier tuple-based beam_topk, kept to
 pin the array beam to it; like beam_topk it hoists the package's viterbi.
 lstm_step is the LSTM recurrence written out with a plain logistic sigmoid,
 which the GEMM-based directions of the network are checked against.
+reference_bigrams is the per-position bigram extractor that the column-wise
+corpus.represent replaced, each template written out on its own.
 """
 
 import itertools
 
 import numpy as np
 
+from mmner.corpus import BOUNDARY
 from mmner.network import EmissionMatrix
 from mmner.structured import ScoredSequence, viterbi
 
@@ -135,3 +138,20 @@ def reference_beam(em, trans, k):
     rest = [ScoredSequence(list(prefix), score) for score, prefix in beam
             if list(prefix) != vit.labels]
     return [vit] + rest[: k - 1]
+
+
+def reference_bigrams(tokens, t):
+    """The five character-bigram templates around position t: offsets
+    (-2,-1), (-1,0), (0,1), (1,2) and the skip pair (-1,1); out-of-range
+    positions contribute the boundary symbol."""
+
+    def tok(i):
+        return tokens[i] if 0 <= i < len(tokens) else BOUNDARY
+
+    return [
+        tok(t - 2) + tok(t - 1),
+        tok(t - 1) + tok(t),
+        tok(t) + tok(t + 1),
+        tok(t + 1) + tok(t + 2),
+        tok(t - 1) + tok(t + 1),
+    ]

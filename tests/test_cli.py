@@ -133,6 +133,16 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "absent.conll" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["model_out", "metrics_out"])
+    def test_missing_output_directory_fails_before_reading(self, tmp_path, capsys, key):
+        # the training file is absent too: the output check must come first
+        paths = {"model_out": str(tmp_path / "m.bin"), key: str(tmp_path / "nodir" / "out")}
+        cfg = write_config(tmp_path / "o.cfg", train=str(tmp_path / "absent.conll"), **paths)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {key.replace('_', '-')} directory not found: {tmp_path / 'nodir'}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_unknown_config_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("optimizer = adam\n", "utf-8")
@@ -301,6 +311,20 @@ class TestPredict:
         assert proc.stderr.startswith("error: ")
 
 
+class TestNonFiniteModel:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_exits_2_naming_the_tensor(self, tmp_path, corpus_files, capsys, command, value):
+        params, _ = tiny_instance(3)
+        params.proj.b_y[0] = value
+        model = tmp_path / "bad.bin"
+        save_model(params, str(model))
+        assert main([command, str(model), str(corpus_files / "dev.conll")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: tensor proj_b holds a NaN or infinite value\n"
+        assert captured.out == ""
+
+
 class TestEval:
     def test_report_and_tsv(self, tmp_path, corpus_files, capsys):
         code, model = train_once(tmp_path, corpus_files)
@@ -351,6 +375,14 @@ class TestBetaSweep:
         assert lines[0] == "beta\toverall_f1"
         assert [line.split("\t")[0] for line in lines[1:]] == ["0.5"]
         assert list(tmp_path.iterdir()) == [cfg]  # a sweep writes no model
+
+    def test_output_directories_are_not_needed(self, tmp_path, corpus_files, capsys):
+        nodir = tmp_path / "nodir"
+        cfg = write_config(tmp_path / "nd.cfg", train=str(corpus_files / "train.conll"),
+                           epochs="1", trigger="integrated", model_out=str(nodir / "m.bin"),
+                           metrics_out=str(nodir / "m.log"))
+        assert main(["train", "--config", str(cfg), "--beta-sweep", "0.5"]) == 0
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_bad_list(self, tmp_path, corpus_files, capsys):
         model = tmp_path / "s.bin"

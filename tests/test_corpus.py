@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmner.corpus import (
     BOUNDARY,
     MODE_POSITIONAL,
     MODE_SEGFEAT,
+    MODES,
     SEG_VOCAB,
     CorpusError,
     EntitySpan,
@@ -12,9 +14,8 @@ from mmner.corpus import (
     TagScheme,
     Vocab,
     build_vocab,
-    encode_sentence,
+    encode_corpus,
     entities_from_labels,
-    extract_bigram_features,
     labels_from_entities,
     load_segmentation,
     parse_conll,
@@ -23,7 +24,10 @@ from mmner.corpus import (
     represent,
     seg_tags_for,
     slot_kinds,
+    vocab_sources,
 )
+
+from oracles import reference_bigrams
 
 SCHEME = TagScheme.from_entity_types((("PER", "NAM"), ("GPE", "NOM")))
 
@@ -209,15 +213,16 @@ class TestPositional:
             positional_tags("")
 
 
+def bigram_rows(tokens, mode=MODE_POSITIONAL):
+    return represent(Sentence(tokens), ["S"] * len(tokens), mode, True)[1]
+
+
 class TestBigrams:
     def test_template_offsets(self):
-        tokens = list("ABCDE")
-        assert extract_bigram_features(tokens, 2) == ["AB", "BC", "CD", "DE", "BD"]
+        assert bigram_rows(list("ABCDE"))[2] == ["AB", "BC", "CD", "DE", "BD"]
 
     def test_boundaries(self):
-        tokens = list("AB")
-        features = extract_bigram_features(tokens, 0)
-        assert features == [
+        assert bigram_rows(list("AB"))[0] == [
             BOUNDARY + BOUNDARY,
             BOUNDARY + "A",
             "AB",
@@ -225,9 +230,23 @@ class TestBigrams:
             BOUNDARY + "B",
         ]
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            extract_bigram_features(list("AB"), 2)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=8),
+           st.sampled_from(MODES))
+    def test_rows_match_the_per_position_reference(self, tokens, mode):
+        seg = ["S"] if mode == MODE_SEGFEAT else []
+        expected = [seg + reference_bigrams(tokens, t) for t in range(len(tokens))]
+        assert bigram_rows(tokens, mode) == expected
+
+    def test_vocab_sources_are_position_major(self):
+        # each position's five strings in template order, position after position
+        _, bigrams = vocab_sources([Sentence(list("ABC"))], None, MODE_POSITIONAL, True)
+        b = BOUNDARY
+        assert bigrams == [
+            b + b, b + "A", "AB", "BC", b + "B",
+            b + "A", "AB", "BC", "C" + b, "AC",
+            "AB", "BC", "C" + b, b + b, "B" + b,
+        ]
 
 
 class TestSegmentation:
@@ -285,7 +304,7 @@ class TestRepresent:
     def test_encode_ids(self):
         sent = Sentence(list("AB"))
         vocab = build_vocab(["A", "B"])
-        encoded = encode_sentence(sent, ["S", "S"], MODE_SEGFEAT, False, vocab, {"seg": SEG_VOCAB})
+        [encoded] = encode_corpus([sent], None, MODE_SEGFEAT, False, vocab, {"seg": SEG_VOCAB})
         assert encoded.token_ids == [2, 3]
         assert encoded.features == [[SEG_VOCAB.index("S")], [SEG_VOCAB.index("S")]]
 
@@ -294,9 +313,8 @@ class TestRepresent:
         surface, slots = represent(sent, ["S", "S"], MODE_POSITIONAL, True)
         vocab = build_vocab(surface)
         bigram_vocab = build_vocab(s for row in slots for s in row)
-        encoded = encode_sentence(
-            sent, ["S", "S"], MODE_POSITIONAL, True, vocab, {"bigram": bigram_vocab}
-        )
+        [encoded] = encode_corpus([sent], None, MODE_POSITIONAL, True, vocab,
+                                  {"bigram": bigram_vocab})
         assert len(encoded.features) == 2
         assert all(len(row) == 5 for row in encoded.features)
         assert all(i > 0 for row in encoded.features for i in row)

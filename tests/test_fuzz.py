@@ -4,6 +4,8 @@ reader's own typed error may escape (the CLI maps those to exit code 2).
 The runs are derandomized, so the suite sees the same examples every time.
 """
 
+import contextlib
+import io
 import json
 import math
 import struct
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmner.cli import CONFIG_KEYS, CliError, parse_config
+from mmner.cli import CONFIG_KEYS, CliError, main, parse_config
 from mmner.corpus import CorpusError, TagScheme, build_vocab, parse_conll
 from mmner.embeddings import EmbeddingFormatError, load_pretrained
 from mmner.synthetic import tiny_instance
@@ -175,3 +177,70 @@ def test_edited_metadata_raises_only_model_io_error(model_file, data):
         params.meta.token_vocab, params.meta.feature_vocabs()
     except ModelIOError:
         pass
+
+
+# a corpus and segmented text in the tiny_instance model's alphabet and scheme
+TINY_CORPUS = "甲\tB-PER.NAM\n乙\tI-PER.NAM\n丙\tO\n\n丁\tO\n戊\tB-PER.NAM\n"
+TINY_SEG = "甲乙 丙\n丁 戊\n"
+FRAGMENT_LINE = st.lists(st.sampled_from(
+    ["", "\t", " ", "O", "I-PER.NAM", "B-GPE.NOM", "甲", "\ufeff", "\u2028", "\r", "#"]),
+    max_size=4).map("".join)
+
+
+def _mutated(data, text):
+    """The text after a few line edits (insert a line of format fragments,
+    drop, repeat or swap lines), then up to two byte edits."""
+    lines = text.split("\n")
+    for _ in range(data.draw(st.integers(0, 3))):
+        edit = data.draw(st.sampled_from(["insert", "drop", "repeat", "swap"] if lines
+                                         else ["insert"]))
+        i = data.draw(st.integers(0, max(len(lines) - 1, 0)))
+        j = data.draw(st.integers(0, max(len(lines) - 1, 0)))
+        if edit == "insert":
+            lines.insert(i, data.draw(FRAGMENT_LINE))
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[j])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+    blob = bytearray("\n".join(lines).encode("utf-8"))
+    for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2])) if blob else 0):
+        blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    return bytes(blob)
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    save_model(tiny_instance(3)[0], str(root / "model.bin"))
+    return root
+
+
+def _exit_and_errors(argv):
+    """main's exit code and the error lines it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+
+
+@settings(FUZZ, max_examples=80)
+@given(st.data())
+def test_cli_on_mutated_inputs_exits_0_or_2_with_one_error_line(cli_dir, data):
+    corpus, seg = cli_dir / "corpus.conll", cli_dir / "seg.txt"
+    corpus.write_bytes(_mutated(data, TINY_CORPUS))
+    seg.write_bytes(_mutated(data, TINY_SEG))
+    command = data.draw(st.sampled_from(["predict", "eval", "train"]))
+    if command == "train":
+        (cli_dir / "train.cfg").write_text(
+            f"train = {corpus}\nsegmented-text = {seg}\nmodel-out = {cli_dir / 'out.bin'}\n",
+            "utf-8")
+        argv = ["train", "--config", str(cli_dir / "train.cfg"), "--epochs", "1"]
+    else:
+        argv = [command, str(cli_dir / "model.bin"), str(corpus), "--segmented-text", str(seg)]
+    code, errors = _exit_and_errors(argv)
+    if code == 1:  # the one designed exit 1 among these inputs
+        assert len(errors) == 1 and errors[0].startswith("error: training diverged")
+    else:
+        assert (code, len(errors)) in ((0, 0), (2, 1))

@@ -14,6 +14,7 @@ from mmner.network import EmissionMatrix, forward_sentence
 from mmner.structured import sentence_score, viterbi
 from mmner.synthetic import synthetic_corpus, tiny_instance
 from mmner.training import (
+    ModelIOError,
     ModelShapeError,
     ModelTruncatedError,
     ModelVersionError,
@@ -538,6 +539,15 @@ class TestSerialization:
                   + struct.pack("<65Q", *[1] * 65) + bytes(8))
         open(path, "wb").write(blob[:16 + meta_len] + struct.pack("<I", 1) + tensor)
         with pytest.raises(ModelShapeError, match="emb_token"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_is_rejected(self, tmp_path, value):
+        params, _ = tiny_instance(10)
+        params.tables["emb_bigram"].vectors[3, 1] = value
+        path = str(tmp_path / "m.bin")
+        save_model(params, path)
+        with pytest.raises(ModelIOError, match="tensor emb_bigram holds a NaN or infinite"):
             load_model(path)
 
     def test_load_holds_one_copy_of_the_tensors(self, tmp_path):
