@@ -58,10 +58,11 @@ print("lookup for the joined sentence:", seg["张伟去北京"])
 
 # Bigram templates around position t: (t-2,t-1) (t-1,t) (t,t+1) (t+1,t+2)
 # and the skip pair (t-1,t+1); out-of-range slots read a boundary marker.
-# With bigrams on, represent gives each position one string per template.
-_, rows = represent(sentences[0], list(seg["张伟去北京"]), "positional", True)
-for t, row in enumerate(rows):
-    print(f"bigrams at t={t}:", row)
+# With bigrams on, represent gives one column per template, holding that
+# template's string at every position; position t reads entry t of each.
+_, columns = represent(sentences[0], list(seg["张伟去北京"]), "positional", True)
+for t in range(len(sentences[0])):
+    print(f"bigrams at t={t}:", [column[t] for column in columns])
 
 # Everything above feeds a per-position vector: a window of token embeddings
 # concatenated with one embedding per feature slot.
@@ -77,6 +78,10 @@ assembly = InputAssembly(
     token_table=random_table(len(token_vocab), 4, rng),
     slot_tables=[random_table(len(bigram_vocab), 2, rng)] * 5,
 )
+# An encoded sentence carries integer arrays: token ids (n,) and one
+# feature id per slot at each position (n, 5).
+print("\ntoken ids:", encoded[0].token_ids)
+print("feature ids, one row per position:\n", encoded[0].features)
 X = assemble_window(encoded[0], assembly)
 print(f"\nwindow=3, d_token=4, five bigram slots at d_feature=2"
       f" -> input width {assembly.width}")

@@ -67,6 +67,12 @@ def _floats(value: str) -> list[float]:
     return values
 
 
+def _path(value: str) -> str:
+    if "\0" in value:
+        raise ValueError("a path cannot hold a NUL character")
+    return value
+
+
 @dataclass(frozen=True)
 class Setting:
     """One config key: its text converter (no range checks: Trigger,
@@ -79,7 +85,7 @@ class Setting:
     help: str | None = None
 
 
-PATH = Setting(flag=False)
+PATH = Setting(_path, flag=False)
 SETTINGS = {
     "train": PATH, "dev": PATH, "test": PATH, "embeddings": PATH,
     "model-out": PATH, "metrics-out": PATH,
@@ -96,7 +102,8 @@ SETTINGS = {
     "mode": Setting(str, MODE_POSITIONAL, choices=MODES),
     "bigrams": Setting(_on_off, True, choices=("on", "off")),
     "beta-sweep": Setting(_floats, help="comma-separated beta values; train each, print F1 table"),
-    "segmented-text": Setting(help="pre-segmented sentences (words space-separated, one per line)"),
+    "segmented-text": Setting(
+        _path, help="pre-segmented sentences (words space-separated, one per line)"),
 }
 CONFIG_KEYS = frozenset(SETTINGS)
 GRADCHECK_KEYS = ("seed", "trigger", "kappa", "beta", "mode", "bigrams")
@@ -185,18 +192,22 @@ def cmd_train(args) -> int:
     config = parse_config(_read(args.config, "config")) if args.config else {}
     v = _settings(args, config)
     model_out = v["model-out"]
+    if model_out and not v["metrics-out"]:
+        v["metrics-out"] = model_out + ".log"
     scheme = TagScheme.from_entity_types()
     with _usage_errors():
         tc = _train_config(v)
         sweep = [replace(tc, trigger=replace(tc.trigger, kind=INTEGRATED, beta=beta))
                  for beta in v["beta-sweep"] or ()]
         for key in ("train",) if sweep else ("train", "model-out"):  # a sweep writes no model
-            if v[key] is None:
+            if not v[key]:
                 raise CliError(f"no {key} path configured (key {key!r})")
         for key in () if sweep else ("model-out", "metrics-out"):  # nor a metrics log
-            folder = os.path.dirname(v[key] or "")
+            folder = os.path.dirname(v[key])
             if folder and not os.path.isdir(folder):
                 raise CliError(f"{key} directory not found: {folder}")
+            if os.path.isdir(v[key]):
+                raise CliError(f"{key} names a directory: {v[key]}")
         train_raw = _load_labeled(v["train"], scheme, "training")
         if not train_raw:
             raise CliError(f"training file {v['train']} must contain labeled sentences")
@@ -221,8 +232,7 @@ def cmd_train(args) -> int:
 
     best, log = train(params, train_set, dev_set, tc)
     save_model(best, model_out)
-    metrics_out = model_out + ".log" if v["metrics-out"] is None else v["metrics-out"]
-    with open(metrics_out, "w", encoding="utf-8") as fh:
+    with open(v["metrics-out"], "w", encoding="utf-8") as fh:
         fh.write("\n".join(log) + "\n")
     for line in log:
         print(line)

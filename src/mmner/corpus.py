@@ -4,8 +4,10 @@ segmentation features) plus bigram feature templates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable
+
+import numpy as np
 
 UNK = "<unk>"
 PAD = "<pad>"
@@ -118,15 +120,15 @@ class Sentence:
     """One input sentence.
 
     ``tokens`` are surface strings, either raw characters or positional
-    characters depending on the chosen representation. ``features`` holds
-    per-position discrete feature ids, one id per feature slot; ``token_ids``
-    are vocabulary indices filled in by :func:`encode_corpus`.
+    characters depending on the chosen representation; ``gold_labels`` is a
+    list of label indices. :func:`encode_corpus` sets the integer arrays
+    ``token_ids`` (n,) and ``features`` (n, n_slots), one id per slot.
     """
 
     tokens: list[str]
     gold_labels: list[int] | None = None
-    features: list[list[int]] = field(default_factory=list)
-    token_ids: list[int] | None = None
+    features: np.ndarray | None = None
+    token_ids: np.ndarray | None = None
 
     def __post_init__(self):
         if self.gold_labels is not None and len(self.gold_labels) != len(self.tokens):
@@ -360,8 +362,8 @@ def slot_kinds(mode: str, bigrams: bool) -> list[str]:
 
 
 def represent(sentence: Sentence, seg_tags: list[str], mode: str, bigrams: bool):
-    """Surface tokens and per-position feature strings for one sentence: row t
-    holds position t's string for each slot of :func:`slot_kinds`, in order."""
+    """Surface tokens and, per slot of :func:`slot_kinds` in order, one column
+    holding that slot's feature string at each position of one sentence."""
     raw = sentence.tokens
     if len(seg_tags) != len(raw):
         raise ValueError("segmentation tag count does not match token count")
@@ -376,7 +378,7 @@ def represent(sentence: Sentence, seg_tags: list[str], mode: str, bigrams: bool)
         padded = [BOUNDARY, BOUNDARY, *raw, BOUNDARY, BOUNDARY]
         columns += [list(map(str.__add__, padded[2 + a:2 + a + len(raw)], padded[2 + b:]))
                     for a, b in BIGRAM_OFFSETS]
-    return surface, [list(row) for row in zip(*columns)] if columns else [[] for _ in raw]
+    return surface, columns
 
 
 def encode_corpus(
@@ -387,15 +389,17 @@ def encode_corpus(
     token_vocab: Vocab,
     vocabs: dict[str, Vocab],
 ) -> list[Sentence]:
-    """Copies of the sentences carrying surface tokens, token ids and one
-    feature id per slot of :func:`slot_kinds`, mapped a slot at a time."""
+    """Copies of the sentences carrying surface tokens and the integer arrays
+    of :class:`Sentence`: token ids, and feature ids mapped a slot at a time."""
     lookups = [vocabs[kind].index for kind in slot_kinds(mode, bigrams)]
     out = []
     for sent in sentences:
-        surface, rows = represent(sent, seg_tags_for(sent.tokens, seg_map), mode, bigrams)
-        columns = [list(map(index, column)) for index, column in zip(lookups, zip(*rows))]
-        out.append(replace(sent, tokens=surface, token_ids=list(map(token_vocab.index, surface)),
-                           features=list(map(list, zip(*columns))) if columns else rows))
+        surface, columns = represent(sent, seg_tags_for(sent.tokens, seg_map), mode, bigrams)
+        features = np.empty((len(surface), len(lookups)), dtype=np.intp)
+        for s, (index, column) in enumerate(zip(lookups, columns)):
+            features[:, s] = list(map(index, column))
+        out.append(replace(sent, tokens=surface, features=features,
+                           token_ids=np.fromiter(map(token_vocab.index, surface), np.intp)))
     return out
 
 
@@ -410,9 +414,8 @@ def vocab_sources(
     token_strings: list[str] = []
     bigram_strings: list[str] = []
     for sent in sentences:
-        surface, rows = represent(sent, seg_tags_for(sent.tokens, seg_map), mode, bigrams)
+        surface, columns = represent(sent, seg_tags_for(sent.tokens, seg_map), mode, bigrams)
         token_strings.extend(surface)
         if bigrams:
-            for row in rows:
-                bigram_strings.extend(row[-len(BIGRAM_OFFSETS):])
+            bigram_strings.extend(s for row in zip(*columns[-len(BIGRAM_OFFSETS):]) for s in row)
     return token_strings, bigram_strings

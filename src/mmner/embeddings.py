@@ -163,23 +163,23 @@ class InputAssembly:
         return self.window * self.token_table.dim + sum(t.dim for t in self.slot_tables)
 
 
-def _padded_ids(sentence: Sentence, window: int) -> np.ndarray:
-    half = (window - 1) // 2
-    return np.array([PAD_INDEX] * half + list(sentence.token_ids) + [PAD_INDEX] * half)
+def _window_ids(sentence: Sentence, window: int) -> np.ndarray:
+    """(n, window) ids: row t holds input row t's window of token ids, PAD_INDEX past the ends."""
+    if sentence.token_ids is None:
+        raise ValueError("sentence tokens not mapped to indices")
+    n = len(sentence.token_ids)
+    padded = np.full(n + window - 1, PAD_INDEX, dtype=np.intp)
+    padded[window // 2:window // 2 + n] = sentence.token_ids
+    return padded[np.arange(n)[:, None] + np.arange(window)]
 
 
 def assemble_window(sentence: Sentence, assembly: InputAssembly) -> np.ndarray:
     """Per-position input matrix of shape (len(sentence), assembly.width)."""
-    if sentence.token_ids is None:
-        raise ValueError("sentence tokens not mapped to indices")
-    n = len(sentence)
     token = assembly.token_table
-    rows = token.vectors[_padded_ids(sentence, assembly.window)]
-    rows *= token.scale
-    parts = [rows[k:k + n] for k in range(assembly.window)]
-    feats = np.array(sentence.features, dtype=np.intp)
+    parts = [token.vectors[_window_ids(sentence, assembly.window)].reshape(len(sentence), -1)]
+    parts[0] *= token.scale
     for s, table in enumerate(assembly.slot_tables):
-        parts.append(table.vectors[feats[:, s]])
+        parts.append(table.vectors[sentence.features[:, s]])
         parts[-1] *= table.scale
     return np.concatenate(parts, axis=1)
 
@@ -194,16 +194,13 @@ def assembly_backward(
     """
     dim = assembly.token_table.dim
     width = assembly.window * dim
-    # row t of the windows holds the ids of the token blocks of input row t
-    windows = np.lib.stride_tricks.sliding_window_view(_padded_ids(sentence, assembly.window),
-                                                       assembly.window)
-    d_tok = _row_grad(windows.ravel(), d_inputs[:, :width].reshape(-1, dim))
+    d_tok = _row_grad(_window_ids(sentence, assembly.window).ravel(),
+                      d_inputs[:, :width].reshape(-1, dim))
     groups: dict[int, tuple[list, list]] = {}  # id(table) -> (ids, values) of its slots
     offset = width
-    feats = np.array(sentence.features, dtype=np.intp)
     for s, table in enumerate(assembly.slot_tables):
         ids, values = groups.setdefault(id(table), ([], []))
-        ids.append(feats[:, s])
+        ids.append(sentence.features[:, s])
         values.append(d_inputs[:, offset:offset + table.dim])
         offset += table.dim
     d_feats = [_row_grad(np.concatenate(i), np.concatenate(v)) for i, v in groups.values()]

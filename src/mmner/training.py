@@ -392,7 +392,7 @@ def load_model(path: str) -> ModelParams:
         (meta_len,) = reader.unpack("<I")
         try:
             meta = _meta_from_json(reader.take(meta_len))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             raise ModelShapeError(f"bad metadata block: {exc}") from None
         (n_tensors,) = reader.unpack("<I")
         tensors: dict[str, np.ndarray] = {}

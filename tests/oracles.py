@@ -9,6 +9,9 @@ lstm_step is the LSTM recurrence written out with a plain logistic sigmoid,
 which the GEMM-based directions of the network are checked against.
 reference_bigrams is the per-position bigram extractor that the column-wise
 corpus.represent replaced, each template written out on its own.
+reference_assemble_window is the slice-and-concatenate input assembly that
+the one-gather embeddings.assemble_window replaced, its padded ids built
+from lists.
 """
 
 import itertools
@@ -16,6 +19,7 @@ import itertools
 import numpy as np
 
 from mmner.corpus import BOUNDARY
+from mmner.embeddings import PAD_INDEX
 from mmner.network import EmissionMatrix
 from mmner.structured import ScoredSequence, viterbi
 
@@ -155,3 +159,20 @@ def reference_bigrams(tokens, t):
         tok(t + 1) + tok(t + 2),
         tok(t - 1) + tok(t + 1),
     ]
+
+
+def reference_assemble_window(sentence, assembly):
+    """Input matrix of an encoded sentence: the window's token rows as one
+    slice per offset into the padded rows, then one block per feature slot."""
+    n = len(sentence)
+    half = (assembly.window - 1) // 2
+    token = assembly.token_table
+    padded = np.array([PAD_INDEX] * half + list(sentence.token_ids) + [PAD_INDEX] * half)
+    rows = token.vectors[padded]
+    rows *= token.scale
+    parts = [rows[k:k + n] for k in range(assembly.window)]
+    feats = np.array(sentence.features, dtype=np.intp)
+    for s, table in enumerate(assembly.slot_tables):
+        parts.append(table.vectors[feats[:, s]])
+        parts[-1] *= table.scale
+    return np.concatenate(parts, axis=1)

@@ -143,6 +143,27 @@ class TestTrain:
         assert err == f"error: {key.replace('_', '-')} directory not found: {tmp_path / 'nodir'}\n"
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("slash", ["", os.sep], ids=["plain", "trailing-separator"])
+    @pytest.mark.parametrize("key", ["model_out", "metrics_out"])
+    def test_directory_as_output_fails_before_reading(self, tmp_path, capsys, key, slash):
+        # the training file is absent too: the output check must come first
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        paths = {"model_out": str(tmp_path / "m.bin"), key: str(outdir) + slash}
+        cfg = write_config(tmp_path / "o.cfg", train=str(tmp_path / "absent.conll"), **paths)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {key.replace('_', '-')} names a directory: {outdir}{slash}\n"
+        assert sorted(tmp_path.iterdir()) == [cfg, outdir] and not any(outdir.iterdir())
+
+    def test_directory_as_default_metrics_log_fails_before_reading(self, tmp_path, capsys):
+        (tmp_path / "m.bin.log").mkdir()
+        cfg = write_config(tmp_path / "o.cfg", train=str(tmp_path / "absent.conll"),
+                           model_out=str(tmp_path / "m.bin"))
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: metrics-out names a directory: {tmp_path / 'm.bin.log'}\n"
+
     def test_unknown_config_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("optimizer = adam\n", "utf-8")
@@ -161,6 +182,17 @@ class TestTrain:
         )
         assert main(["train", "--config", str(cfg)]) == 2
         assert "model-out" in capsys.readouterr().err
+
+    def test_empty_model_out_fails_before_reading(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(f"train = {tmp_path / 'absent.conll'}\nmodel-out =\n", "utf-8")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: no model-out path configured (key 'model-out')\n"
+
+    def test_empty_metrics_out_is_the_default_log(self, tmp_path, corpus_files):
+        code, model = train_once(tmp_path, corpus_files, metrics_out=" ")
+        assert code == 0
+        assert (tmp_path / "model.bin.log").read_text("utf-8").startswith("0\t")
 
     def test_test_set_report(self, tmp_path, corpus_files, capsys):
         code, model = train_once(
@@ -309,6 +341,21 @@ class TestPredict:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_deeply_nested_metadata_exits_2(tmp_path, corpus_files, capsys, command):
+    # json.loads gives up on this nesting with a RecursionError
+    model = tmp_path / "nested.bin"
+    save_model(tiny_instance(3)[0], str(model))
+    blob = model.read_bytes()
+    (meta_len,) = struct.unpack("<I", blob[12:16])
+    meta = b"[" * 200_000
+    model.write_bytes(blob[:12] + struct.pack("<I", len(meta)) + meta + blob[16 + meta_len:])
+    assert main([command, str(model), str(corpus_files / "dev.conll")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad metadata block: ") and captured.out == ""
+    assert captured.err.count("\n") == 1
 
 
 class TestNonFiniteModel:
@@ -461,6 +508,18 @@ class TestBadSettings:
         assert err.startswith("error: ") and err.count("error:") == 1
         assert "'abc'" in err and "3 tags" in err and "2 tokens" in err
         assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("key", ["train", "model_out", "metrics_out", "segmented_text"])
+    def test_nul_in_a_path_exits_2_before_training(self, tmp_path, corpus_files, capsys, key):
+        # open() raises ValueError on a NUL; for an output that came after training
+        paths = {"train": str(corpus_files / "train.conll"), "model_out": str(tmp_path / "m.bin"),
+                 key: str(tmp_path / "a\0b")}
+        cfg = write_config(tmp_path / "c.cfg", **paths)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        name = key.replace("_", "-")
+        assert err == f"error: setting {name!r}: a path cannot hold a NUL character\n"
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_1(self, tmp_path, corpus_files, capsys):

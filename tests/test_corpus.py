@@ -213,8 +213,15 @@ class TestPositional:
             positional_tags("")
 
 
+def represent_rows(tokens, seg_tags, mode, bigrams):
+    """represent with its columns turned into per-position rows: row t holds
+    each slot's string at position t."""
+    surface, columns = represent(Sentence(tokens), seg_tags, mode, bigrams)
+    return surface, [[column[t] for column in columns] for t in range(len(tokens))]
+
+
 def bigram_rows(tokens, mode=MODE_POSITIONAL):
-    return represent(Sentence(tokens), ["S"] * len(tokens), mode, True)[1]
+    return represent_rows(tokens, ["S"] * len(tokens), mode, True)[1]
 
 
 class TestBigrams:
@@ -290,14 +297,12 @@ class TestRepresent:
         assert slot_kinds(MODE_SEGFEAT, False) == ["seg"]
 
     def test_positional_surface(self):
-        sent = Sentence(list("ABC"))
-        surface, slots = represent(sent, ["B", "E", "S"], MODE_POSITIONAL, False)
+        surface, slots = represent_rows(list("ABC"), ["B", "E", "S"], MODE_POSITIONAL, False)
         assert surface == ["A#B", "B#E", "C#S"]
         assert slots == [[], [], []]
 
     def test_segfeat_surface(self):
-        sent = Sentence(list("AB"))
-        surface, slots = represent(sent, ["B", "E"], MODE_SEGFEAT, False)
+        surface, slots = represent_rows(list("AB"), ["B", "E"], MODE_SEGFEAT, False)
         assert surface == ["A", "B"]
         assert slots == [["B"], ["E"]]
 
@@ -305,12 +310,12 @@ class TestRepresent:
         sent = Sentence(list("AB"))
         vocab = build_vocab(["A", "B"])
         [encoded] = encode_corpus([sent], None, MODE_SEGFEAT, False, vocab, {"seg": SEG_VOCAB})
-        assert encoded.token_ids == [2, 3]
-        assert encoded.features == [[SEG_VOCAB.index("S")], [SEG_VOCAB.index("S")]]
+        assert encoded.token_ids.tolist() == [2, 3]
+        assert encoded.features.tolist() == [[SEG_VOCAB.index("S")], [SEG_VOCAB.index("S")]]
 
     def test_encode_with_bigrams(self):
         sent = Sentence(list("AB"))
-        surface, slots = represent(sent, ["S", "S"], MODE_POSITIONAL, True)
+        surface, slots = represent_rows(sent.tokens, ["S", "S"], MODE_POSITIONAL, True)
         vocab = build_vocab(surface)
         bigram_vocab = build_vocab(s for row in slots for s in row)
         [encoded] = encode_corpus([sent], None, MODE_POSITIONAL, True, vocab,
@@ -318,3 +323,21 @@ class TestRepresent:
         assert len(encoded.features) == 2
         assert all(len(row) == 5 for row in encoded.features)
         assert all(i > 0 for row in encoded.features for i in row)
+        assert encoded.features.tolist() == [[bigram_vocab.index(s) for s in row] for row in slots]
+
+    @pytest.mark.parametrize("bigrams", [True, False], ids=["bigrams", "no-bigrams"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_encoded_sentences_carry_integer_arrays(self, mode, bigrams):
+        sentences = [Sentence(list("ABC"), labs("B-PER.NAM", "I-PER.NAM", "O")),
+                     Sentence(list("D"), labs("O"))]
+        vocabs = {"seg": SEG_VOCAB, "bigram": build_vocab(["AB"])}
+        n_slots = len(slot_kinds(mode, bigrams))
+        token_vocab = build_vocab(["A", "A#S"])
+        encoded = encode_corpus(sentences, None, mode, bigrams, token_vocab, vocabs)
+        for sent, enc in zip(sentences, encoded):
+            n = len(sent)
+            assert enc.token_ids.dtype == enc.features.dtype == np.intp
+            assert enc.token_ids.shape == (n,)
+            assert enc.features.shape == (n, n_slots)
+            assert enc.token_ids.tolist() == [token_vocab.index(t) for t in enc.tokens]
+            assert type(enc.gold_labels) is list and enc.gold_labels == sent.gold_labels

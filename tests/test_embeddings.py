@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmner.corpus import Sentence, Vocab, build_vocab
 from mmner.embeddings import (
@@ -13,6 +14,8 @@ from mmner.embeddings import (
     load_pretrained,
     random_table,
 )
+
+from oracles import reference_assemble_window
 
 VOCAB = Vocab.from_itos(["<unk>", "<pad>", "a", "b"])
 
@@ -96,12 +99,13 @@ class TestLoadPretrained:
         np.testing.assert_array_equal(table.vectors[VOCAB.index("a")], [1.0, 0.0, 0.0])
 
 
-def encoded_sentence(token_ids, features=None):
+def encoded_sentence(token_ids, features=()):
+    """An encoded sentence from id lists: features as rows, none by default."""
     n = len(token_ids)
     return Sentence(
         tokens=["t"] * n,
-        features=features if features is not None else [[] for _ in range(n)],
-        token_ids=list(token_ids),
+        features=np.array(features, dtype=np.intp).reshape(n, -1),
+        token_ids=np.array(token_ids, dtype=np.intp),
     )
 
 
@@ -141,6 +145,31 @@ class TestAssembly:
         for n in (1, 2, 5):
             sent = encoded_sentence([2] * n, features=[[3]] * n)
             assert assemble_window(sent, assembly).shape == (n, assembly.width)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_equals_the_slice_and_concatenate_reference(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scales = st.sampled_from([1.0, 0.9, 0.3712, 1.7e-3])
+
+        def table():
+            t = random_table(data.draw(st.integers(2, 6)), data.draw(st.integers(1, 4)), rng)
+            t.scale = data.draw(scales)
+            return t
+
+        token = table()
+        distinct = [table() for _ in range(data.draw(st.integers(1, 3)))]
+        # slots draw from fewer tables than there are slots now and then: shared tables
+        slots = [distinct[data.draw(st.integers(0, len(distinct) - 1))]
+                 for _ in range(data.draw(st.integers(0, 3)))]
+        assembly = InputAssembly(data.draw(st.sampled_from([1, 3, 5, 7])), token, slots)
+        n = data.draw(st.integers(1, 8))
+        features = np.empty((n, len(slots)), dtype=np.intp)
+        for s, slot in enumerate(slots):
+            features[:, s] = rng.integers(0, slot.size, n)
+        sent = encoded_sentence(rng.integers(0, token.size, n), features)
+        assert np.array_equal(assemble_window(sent, assembly),
+                              reference_assemble_window(sent, assembly))
 
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):

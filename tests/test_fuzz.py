@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from mmner.cli import CONFIG_KEYS, CliError, main, parse_config
 from mmner.corpus import CorpusError, TagScheme, build_vocab, parse_conll
 from mmner.embeddings import EmbeddingFormatError, load_pretrained
+from mmner.model import D_TOKEN
 from mmner.synthetic import tiny_instance
 from mmner.training import ModelIOError, load_model, save_model
 
@@ -187,7 +188,7 @@ FRAGMENT_LINE = st.lists(st.sampled_from(
     max_size=4).map("".join)
 
 
-def _mutated(data, text):
+def _mutated(data, text, fragment_line=FRAGMENT_LINE):
     """The text after a few line edits (insert a line of format fragments,
     drop, repeat or swap lines), then up to two byte edits."""
     lines = text.split("\n")
@@ -197,7 +198,7 @@ def _mutated(data, text):
         i = data.draw(st.integers(0, max(len(lines) - 1, 0)))
         j = data.draw(st.integers(0, max(len(lines) - 1, 0)))
         if edit == "insert":
-            lines.insert(i, data.draw(FRAGMENT_LINE))
+            lines.insert(i, data.draw(fragment_line))
         elif edit == "drop":
             del lines[i]
         elif edit == "repeat":
@@ -225,6 +226,15 @@ def _exit_and_errors(argv):
     return code, [line for line in err.getvalue().splitlines() if line.startswith("error:")]
 
 
+def _assert_exit_0_or_2(argv):
+    """Exit 0 without an error line, or exit 2 with exactly one."""
+    code, errors = _exit_and_errors(argv)
+    if code == 1:  # the one designed exit 1 among these inputs
+        assert len(errors) == 1 and errors[0].startswith("error: training diverged")
+    else:
+        assert (code, len(errors)) in ((0, 0), (2, 1))
+
+
 @settings(FUZZ, max_examples=80)
 @given(st.data())
 def test_cli_on_mutated_inputs_exits_0_or_2_with_one_error_line(cli_dir, data):
@@ -239,8 +249,73 @@ def test_cli_on_mutated_inputs_exits_0_or_2_with_one_error_line(cli_dir, data):
         argv = ["train", "--config", str(cli_dir / "train.cfg"), "--epochs", "1"]
     else:
         argv = [command, str(cli_dir / "model.bin"), str(corpus), "--segmented-text", str(seg)]
-    code, errors = _exit_and_errors(argv)
-    if code == 1:  # the one designed exit 1 among these inputs
-        assert len(errors) == 1 and errors[0].startswith("error: training diverged")
-    else:
-        assert (code, len(errors)) in ((0, 0), (2, 1))
+    _assert_exit_0_or_2(argv)
+
+
+def _vector_line(word, value):
+    return " ".join([word] + [value] * D_TOKEN)
+
+
+TINY_EMBEDDINGS = "\n".join(
+    ["3 %d" % D_TOKEN, _vector_line("甲", "0.1"), _vector_line("乙", "-0.25"),
+     _vector_line("zz", "1e-3")]) + "\n"
+
+
+@pytest.fixture(scope="module")
+def inputs_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("inputs")
+
+
+def _write_inputs(root):
+    """A fresh corpus, segmented text and embeddings file (a mutated config
+    may have overwritten them) and their paths."""
+    texts = {"train.conll": TINY_CORPUS, "seg.txt": TINY_SEG, "emb.txt": TINY_EMBEDDINGS}
+    for name, text in texts.items():
+        (root / name).write_text(text, "utf-8")
+    return {name: str(root / name) for name in texts}
+
+
+@settings(FUZZ, max_examples=60)
+@given(st.data())
+def test_cli_on_mutated_config_exits_0_or_2_with_one_error_line(inputs_dir, data):
+    paths = _write_inputs(inputs_dir)
+    pieces = [*sorted(CONFIG_KEYS), " = ", "=", " ", "#", "0", "1", "-1", "0.5,1", "nan", "1e308",
+              "on", "off", "fscore", "segfeat", *paths.values(), str(inputs_dir),
+              str(inputs_dir / "no" / "x")]
+    fragment = st.lists(st.sampled_from(pieces), max_size=4).map("".join)
+    text = f"train = {paths['train.conll']}\nmodel-out = {inputs_dir / 'out.bin'}\nepochs = 1\n"
+    (inputs_dir / "train.cfg").write_bytes(_mutated(data, text, fragment))
+    _assert_exit_0_or_2(["train", "--config", str(inputs_dir / "train.cfg")])
+
+
+@settings(FUZZ, max_examples=60)
+@given(st.data())
+def test_cli_on_mutated_embeddings_exits_0_or_2_with_one_error_line(inputs_dir, data):
+    paths = _write_inputs(inputs_dir)
+    fragment = st.one_of(
+        st.sampled_from([_vector_line("丙", "0.5"), _vector_line("甲", "nan"), "3 %d" % D_TOKEN]),
+        st.lists(st.sampled_from(["甲", " ", "\t", "0.5", "1e308", "-", "e"]), max_size=6)
+        .map("".join))
+    with open(paths["emb.txt"], "wb") as fh:
+        fh.write(_mutated(data, TINY_EMBEDDINGS, fragment))
+    (inputs_dir / "train.cfg").write_text(
+        f"train = {paths['train.conll']}\nembeddings = {paths['emb.txt']}\n"
+        f"model-out = {inputs_dir / 'out.bin'}\n", "utf-8")
+    _assert_exit_0_or_2(["train", "--config", str(inputs_dir / "train.cfg"), "--epochs", "1"])
+
+
+@settings(FUZZ, max_examples=60)
+@given(st.data())
+def test_cli_on_byte_mutated_model_exits_0_or_2_with_one_error_line(cli_dir, inputs_dir, data):
+    blob = (cli_dir / "model.bin").read_bytes()
+    paths = _write_inputs(inputs_dir)
+    # half the mutations land in the header, metadata and first tensor header
+    offset = st.one_of(st.integers(0, 400), st.integers(0, len(blob) - 1))
+    mutated = bytearray(blob)
+    for pos, byte in data.draw(st.lists(st.tuples(offset, st.integers(0, 255)),
+                                        min_size=1, max_size=4)):
+        mutated[pos] = byte
+    (inputs_dir / "mutated.bin").write_bytes(bytes(mutated))
+    command = data.draw(st.sampled_from(["predict", "eval"]))
+    _assert_exit_0_or_2([command, str(inputs_dir / "mutated.bin"), paths["train.conll"],
+                         "--segmented-text", paths["seg.txt"]])

@@ -42,8 +42,14 @@ def test_from_corpus_and_encode_match_the_hand_built_steps(mode, bigrams):
     assert meta == expected
     assert (meta.bigram_itos == ()) == (not bigrams)
     for sentences in (corpus.sentences, heldout):
-        assert meta.encode(sentences, seg_map) == encode_corpus(
-            sentences, seg_map, mode, bigrams, expected.token_vocab, expected.feature_vocabs())
+        encoded = meta.encode(sentences, seg_map)
+        by_hand = encode_corpus(sentences, seg_map, mode, bigrams, expected.token_vocab,
+                                expected.feature_vocabs())
+        assert len(encoded) == len(by_hand)
+        for ours, theirs in zip(encoded, by_hand):
+            assert (ours.tokens, ours.gold_labels) == (theirs.tokens, theirs.gold_labels)
+            assert np.array_equal(ours.token_ids, theirs.token_ids)
+            assert np.array_equal(ours.features, theirs.features)
 
 
 def test_vocabularies_keep_first_occurrence_order():
@@ -61,9 +67,9 @@ def test_encode_maps_unseen_tokens_to_unknown():
                                  mode="positional", bigrams=False, **SIZES)
     (encoded,) = meta.encode(corpus.sentences[1:2], None)
     seen = set(meta.token_itos)
-    assert encoded.token_ids == [meta.token_vocab.index(t) if t in seen else 0
-                                 for t in encoded.tokens]
-    assert encoded.features == [[] for _ in encoded.tokens]
+    assert encoded.token_ids.tolist() == [meta.token_vocab.index(t) if t in seen else 0
+                                          for t in encoded.tokens]
+    assert encoded.features.shape == (len(encoded.tokens), 0)
 
 
 def test_unknown_mode_is_a_value_error():

@@ -83,7 +83,7 @@ class TestBiLstm:
         ids = [int(i) for i in rng.integers(5, size=5)]
         feats = [[int(a), int(b)] for a, b in rng.integers(4, size=(5, 2))]
         ids, feats = ids + ids[-2::-1], feats + feats[-2::-1]  # length 9
-        sent = Sentence(tokens=["x"] * 9, features=feats, token_ids=ids)
+        sent = Sentence(tokens=["x"] * 9, features=np.array(feats), token_ids=np.array(ids))
         hidden = forward_sentence(sent, assembly, fwd, fwd, proj).hidden
         n, h_dim = 9, fwd.hidden_dim
         for t in range(n):
@@ -164,8 +164,8 @@ def small_net(rng, n=3, window=3, d_tok=2, d_feat=2, hidden=3, n_labels=3):
     proj = ProjectionParams.init(n_labels, 2 * hidden, rng)
     sent = Sentence(
         tokens=["x"] * n,
-        features=[[int(rng.integers(4)), int(rng.integers(4))] for _ in range(n)],
-        token_ids=[int(rng.integers(5)) for _ in range(n)],
+        features=np.array([[int(rng.integers(4)), int(rng.integers(4))] for _ in range(n)]),
+        token_ids=np.array([int(rng.integers(5)) for _ in range(n)]),
     )
     return sent, assembly, fwd, bwd, proj
 
