@@ -16,7 +16,7 @@ from mmner.corpus import (
     represent,
     vocab_sources,
 )
-from mmner.embeddings import EmbeddingTable, InputAssembly, assemble_window, random_table
+from mmner.embeddings import InputAssembly, assemble_window, random_table
 
 SAMPLE = """\
 张\tB-PER.NAM

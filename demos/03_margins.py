@@ -8,11 +8,8 @@ against, and loss-augmented decoding surfaces the sequence that currently
 violates the margin most.
 """
 
-import numpy as np
-
-from mmner.corpus import TagScheme, entities_from_labels
+from mmner.corpus import TagScheme
 from mmner.evaluation import token_accuracy
-from mmner.structured import sentence_score
 from mmner.training import _forward, loss_augmented_predict
 from mmner.triggers import (
     Trigger,

@@ -115,9 +115,9 @@ class TagScheme:
         return typ.rsplit(".", 1)[-1]
 
 
-@dataclass
+@dataclass(eq=False)
 class Sentence:
-    """One input sentence.
+    """One input sentence; sentences compare by identity, not by value.
 
     ``tokens`` are surface strings, either raw characters or positional
     characters depending on the chosen representation; ``gold_labels`` is a

@@ -56,19 +56,16 @@ class EmbeddingTable:
     reads ``vectors`` directly outside the training step must fold first.
     """
 
-    dim: int
     vectors: np.ndarray
     scale: float = 1.0
-
-    def __post_init__(self):
-        if self.vectors.ndim != 2 or self.vectors.shape[1] != self.dim:
-            raise ValueError("vector block must be (size, dim)")
-        if self.vectors.shape[0] < 2:
-            raise ValueError("table must contain the unknown and padding rows")
 
     @property
     def size(self) -> int:
         return self.vectors.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
     def fold(self) -> np.ndarray:
         """Multiply the decay scale into the rows; returns the plain vectors."""
@@ -92,7 +89,7 @@ def random_table(size: int, dim: int, rng: np.random.Generator) -> EmbeddingTabl
     """Fresh table with entries uniform in +-FALLBACK_SCALE; padding row is zero."""
     vectors = rng.uniform(-FALLBACK_SCALE, FALLBACK_SCALE, size=(size, dim))
     vectors[PAD_INDEX] = 0.0
-    return EmbeddingTable(dim, vectors)
+    return EmbeddingTable(vectors)
 
 
 def load_pretrained(text: str, vocab: Vocab, dim: int, rng: np.random.Generator) -> EmbeddingTable:

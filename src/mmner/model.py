@@ -121,6 +121,18 @@ class ModelParams:
     proj: ProjectionParams
     transitions: np.ndarray
 
+    @classmethod
+    def from_tensors(cls, meta: ModelMeta, tensors: dict) -> "ModelParams":
+        """The model over ``tensors`` (name -> array, in any order), each
+        array wired to its field without a copy; an ``emb_*`` entry may also
+        be a ready table, which is kept as it is."""
+        t = {name: tensors[name] for name in meta.tensor_shapes()}
+        tables = {name: arr if isinstance(arr, EmbeddingTable) else EmbeddingTable(arr)
+                  for name, arr in t.items() if name.startswith("emb_")}
+        return cls(meta, tables, LstmParams(t["lstm_fwd_w"], t["lstm_fwd_b"]),
+                   LstmParams(t["lstm_bwd_w"], t["lstm_bwd_b"]),
+                   ProjectionParams(t["proj_w"], t["proj_b"]), t["transitions"])
+
     def __post_init__(self):
         expected = self.meta.tensor_shapes()
         found = {name: table.vectors.shape for name, table in self.tables.items()}
@@ -171,14 +183,21 @@ def init_params(
     rng: np.random.Generator,
     token_table: EmbeddingTable | None = None,
 ) -> ModelParams:
-    """Fresh model: random embeddings (unless a pretrained token table is
-    given), scaled-uniform LSTM/projection weights, zero transition scores."""
-    shapes = meta.tensor_shapes()
-    tables = {name: token_table if name == "emb_token" and token_table is not None
-              else random_table(*shape, rng)
-              for name, shape in shapes.items() if name.startswith("emb_")}
-    width = meta.input_width
-    fwd = LstmParams.init(width, meta.hidden_dim, rng)
-    bwd = LstmParams.init(width, meta.hidden_dim, rng)
-    proj = ProjectionParams.init(meta.scheme.n_labels, 2 * meta.hidden_dim, rng)
-    return ModelParams(meta, tables, fwd, bwd, proj, np.zeros(shapes["transitions"]))
+    """Fresh model, one draw per tensor in tensor order: embeddings by
+    :func:`random_table` (a given pretrained token table is kept and draws
+    nothing), Glorot-uniform weights (Glorot & Bengio 2010; an LSTM block's
+    fan-out is one gate), zero biases and transition scores."""
+    tensors = {}
+    for name, shape in meta.tensor_shapes().items():
+        if name == "emb_token" and token_table is not None:
+            tensors[name] = token_table
+        elif name.startswith("emb_"):
+            tensors[name] = random_table(*shape, rng).vectors
+        elif name.endswith("_w"):
+            rows, cols = shape
+            fan_out = rows // 4 if name.startswith("lstm_") else rows
+            bound = np.sqrt(6.0 / (cols + fan_out))
+            tensors[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            tensors[name] = np.zeros(shape)
+    return ModelParams.from_tensors(meta, tensors)

@@ -21,37 +21,25 @@ from .corpus import Sentence
 from .embeddings import InputAssembly, RowGrad, assemble_window, assembly_backward
 
 
-def glorot(rng: np.random.Generator, rows: int, cols: int, fan_in: int, fan_out: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(rows, cols))
-
-
 @dataclass
 class LstmParams:
-    """One direction's recurrent parameters.
+    """One direction's recurrent parameters; the sizes are read off the arrays.
 
     ``w`` stacks the four gate matrices as (4*hidden, input+hidden) and ``b``
     the biases as (4*hidden,). Columns [:input] act on the input x (W_x),
     the rest on the previous hidden state (W_h).
     """
 
-    input_dim: int
-    hidden_dim: int
     w: np.ndarray
     b: np.ndarray
 
-    def __post_init__(self):
-        h, d = self.hidden_dim, self.input_dim
-        if self.w.shape != (4 * h, d + h):
-            raise ValueError(f"gate weight block must be {(4 * h, d + h)}, got {self.w.shape}")
-        if self.b.shape != (4 * h,):
-            raise ValueError(f"gate bias block must be ({4 * h},), got {self.b.shape}")
+    @property
+    def hidden_dim(self) -> int:
+        return self.b.shape[0] // 4
 
-    @classmethod
-    def init(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator) -> "LstmParams":
-        w = glorot(rng, 4 * hidden_dim, input_dim + hidden_dim,
-                   input_dim + hidden_dim, hidden_dim)
-        return cls(input_dim, hidden_dim, w, np.zeros(4 * hidden_dim))
+    @property
+    def input_dim(self) -> int:
+        return self.w.shape[1] - self.hidden_dim
 
 
 @dataclass
@@ -60,15 +48,6 @@ class ProjectionParams:
 
     w_hy: np.ndarray
     b_y: np.ndarray
-
-    def __post_init__(self):
-        if self.w_hy.ndim != 2 or self.b_y.shape != (self.w_hy.shape[0],):
-            raise ValueError("projection shapes inconsistent")
-
-    @classmethod
-    def init(cls, n_labels: int, hidden_width: int, rng: np.random.Generator) -> "ProjectionParams":
-        w = glorot(rng, n_labels, hidden_width, hidden_width, n_labels)
-        return cls(w, np.zeros(n_labels))
 
 
 def _activate(a: np.ndarray, c_prev: np.ndarray, h_dim: int):

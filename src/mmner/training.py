@@ -26,17 +26,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .corpus import Sentence, TagScheme
-from .embeddings import EmbeddingTable, RowGrad
+from .embeddings import RowGrad
 from .evaluation import evaluate
 from .model import WINDOW, ModelMeta, ModelParams
-from .network import (
-    EmissionMatrix,
-    LstmParams,
-    ProjectionParams,
-    SentenceCache,
-    backward,
-    forward_sentence,
-)
+from .network import EmissionMatrix, SentenceCache, backward, forward_sentence
 from .structured import ScoredSequence, beam_topk, sentence_score, viterbi
 from .triggers import Trigger
 
@@ -415,15 +408,8 @@ def load_model(path: str) -> ModelParams:
         missing = sorted(set(expected) - set(tensors))
         extra = sorted(set(tensors) - set(expected))
         raise ModelShapeError(f"tensor inventory mismatch: missing {missing}, unexpected {extra}")
-    width = meta.input_width
     try:
-        tables = {name: EmbeddingTable(shape[1], tensors[name])
-                  for name, shape in expected.items() if name.startswith("emb_")}
-        return ModelParams(
-            meta, tables,
-            LstmParams(width, meta.hidden_dim, tensors["lstm_fwd_w"], tensors["lstm_fwd_b"]),
-            LstmParams(width, meta.hidden_dim, tensors["lstm_bwd_w"], tensors["lstm_bwd_b"]),
-            ProjectionParams(tensors["proj_w"], tensors["proj_b"]), tensors["transitions"])
+        return ModelParams.from_tensors(meta, tensors)
     except ValueError as exc:
         raise ModelShapeError(str(exc)) from None
 

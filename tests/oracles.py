@@ -11,7 +11,9 @@ reference_bigrams is the per-position bigram extractor that the column-wise
 corpus.represent replaced, each template written out on its own.
 reference_assemble_window is the slice-and-concatenate input assembly that
 the one-gather embeddings.assemble_window replaced, its padded ids built
-from lists.
+from lists. reference_init_params is the parameter init that drew through a
+Glorot helper and per-class initializers before model.init_params drew one
+array per tensor name; both must draw the same numbers.
 """
 
 import itertools
@@ -19,7 +21,7 @@ import itertools
 import numpy as np
 
 from mmner.corpus import BOUNDARY
-from mmner.embeddings import PAD_INDEX
+from mmner.embeddings import PAD_INDEX, random_table
 from mmner.network import EmissionMatrix
 from mmner.structured import ScoredSequence, viterbi
 
@@ -176,3 +178,37 @@ def reference_assemble_window(sentence, assembly):
         parts.append(table.vectors[feats[:, s]])
         parts[-1] *= table.scale
     return np.concatenate(parts, axis=1)
+
+
+def reference_glorot(rng, rows, cols, fan_in, fan_out):
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=(rows, cols))
+
+
+def reference_lstm_init(input_dim, hidden_dim, rng):
+    """(w, b) of one LSTM direction: Glorot weights whose fan-out is one gate."""
+    w = reference_glorot(rng, 4 * hidden_dim, input_dim + hidden_dim,
+                         input_dim + hidden_dim, hidden_dim)
+    return w, np.zeros(4 * hidden_dim)
+
+
+def reference_projection_init(n_labels, hidden_width, rng):
+    """(w_hy, b_y) of the label projection."""
+    w = reference_glorot(rng, n_labels, hidden_width, hidden_width, n_labels)
+    return w, np.zeros(n_labels)
+
+
+def reference_init_params(meta, rng, token_table=None):
+    """Name -> array of a fresh model: the embedding tables first, then the
+    forward, backward and projection weights, zero transitions."""
+    shapes = meta.tensor_shapes()
+    out = {name: (token_table if name == "emb_token" and token_table is not None
+                  else random_table(*shape, rng)).vectors
+           for name, shape in shapes.items() if name.startswith("emb_")}
+    width = meta.input_width
+    out["lstm_fwd_w"], out["lstm_fwd_b"] = reference_lstm_init(width, meta.hidden_dim, rng)
+    out["lstm_bwd_w"], out["lstm_bwd_b"] = reference_lstm_init(width, meta.hidden_dim, rng)
+    out["proj_w"], out["proj_b"] = reference_projection_init(
+        meta.scheme.n_labels, 2 * meta.hidden_dim, rng)
+    out["transitions"] = np.zeros(shapes["transitions"])
+    return out

@@ -3,6 +3,10 @@
 import numpy as np
 
 from mmner.model import ModelMeta, init_params
+from mmner.synthetic import tiny_instance
+
+# the tensors the shape tests widen: an LSTM bias, the projection weights, a table
+MISSHAPEN = ("lstm_bwd_b", "proj_w", "emb_seg")
 
 
 def build_from_raw(
@@ -23,3 +27,14 @@ def build_from_raw(
         d_token=d_token, d_feature=d_feature, hidden_dim=hidden)
     params = init_params(meta, np.random.default_rng(seed))
     return params, meta.encode(raw_sentences, seg_map)
+
+
+def misshapen(name):
+    """A tiny segfeat model with bigrams whose tensor ``name`` is set, after
+    construction, to an array one entry too wide on its last axis."""
+    params, _ = tiny_instance(3, mode="segfeat", bigrams=True)
+    holder, field = {"lstm_bwd_b": (params.bwd, "b"), "proj_w": (params.proj, "w_hy"),
+                     "emb_seg": (params.tables["emb_seg"], "vectors")}[name]
+    shape = getattr(holder, field).shape
+    setattr(holder, field, np.zeros((*shape[:-1], shape[-1] + 1)))
+    return params

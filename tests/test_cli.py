@@ -16,6 +16,7 @@ from mmner.cli import main, parse_config, CliError
 from mmner.corpus import parse_conll, TagScheme
 from mmner.synthetic import synthetic_corpus, tiny_instance, to_conll
 from mmner.training import load_model, save_model
+from support import MISSHAPEN, misshapen
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +371,16 @@ class TestNonFiniteModel:
         captured = capsys.readouterr()
         assert captured.err == "error: tensor proj_b holds a NaN or infinite value\n"
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", MISSHAPEN)
+def test_misshapen_tensor_exits_2_naming_it(tmp_path, corpus_files, capsys, name):
+    model = tmp_path / "bad.bin"
+    save_model(misshapen(name), str(model))
+    assert main(["predict", str(model), str(corpus_files / "dev.conll")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: tensor {name}: expected shape")
+    assert captured.out == ""
 
 
 class TestEval:

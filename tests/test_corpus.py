@@ -341,3 +341,15 @@ class TestRepresent:
             assert enc.features.shape == (n, n_slots)
             assert enc.token_ids.tolist() == [token_vocab.index(t) for t in enc.tokens]
             assert type(enc.gold_labels) is list and enc.gold_labels == sent.gold_labels
+
+    def test_encoded_sentences_compare_by_identity(self):
+        # two encodings of one sentence hold equal arrays; == and `in` must
+        # still give a bool rather than ask numpy for an array's truth value
+        sentences = [Sentence(list("ABC"), labs("B-PER.NAM", "I-PER.NAM", "O"))]
+        vocab = build_vocab(list("ABC"))
+        first, second = (encode_corpus(sentences, None, MODE_SEGFEAT, True, vocab,
+                                       {"seg": SEG_VOCAB, "bigram": build_vocab(["AB"])})
+                         for _ in range(2))
+        assert (first[0] == second[0]) is False and (first[0] != second[0]) is True
+        assert (first[0] == first[0]) is True
+        assert (first[0] in second) is False and (first[0] in first) is True

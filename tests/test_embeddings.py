@@ -7,7 +7,6 @@ from mmner.embeddings import (
     PAD_INDEX,
     UNK_INDEX,
     EmbeddingFormatError,
-    EmbeddingTable,
     InputAssembly,
     assemble_window,
     assembly_backward,
@@ -23,15 +22,9 @@ VOCAB = Vocab.from_itos(["<unk>", "<pad>", "a", "b"])
 class TestTable:
     def test_random_table(self):
         table = random_table(6, 4, np.random.default_rng(0))
-        assert table.vectors.shape == (6, 4)
+        assert table.vectors.shape == (table.size, table.dim) == (6, 4)
         np.testing.assert_array_equal(table.vectors[PAD_INDEX], 0.0)
         assert np.abs(table.vectors).max() <= 0.1
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            EmbeddingTable(3, np.zeros((4, 2)))
-        with pytest.raises(ValueError):
-            EmbeddingTable(3, np.zeros((1, 3)))
 
 
 class TestLoadPretrained:

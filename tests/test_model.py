@@ -1,6 +1,7 @@
 """ModelMeta.from_corpus and ModelMeta.encode against the hand-built steps
-they replace (vocab_sources + build_vocab, and encode_corpus), and
-ModelParams.tables: the embedding tables keyed by tensor name."""
+they replace (vocab_sources + build_vocab, and encode_corpus),
+ModelParams.tables: the embedding tables keyed by tensor name, and
+ModelParams.from_tensors with init_params, which draws through it."""
 
 import dataclasses
 
@@ -9,9 +10,11 @@ import pytest
 
 from mmner.corpus import build_vocab, encode_corpus, load_segmentation, slot_kinds, vocab_sources
 from mmner.embeddings import random_table
-from mmner.model import ModelMeta, init_params
+from mmner.model import ModelMeta, ModelParams, init_params
 from mmner.synthetic import synthetic_corpus, tiny_instance
-from mmner.training import load_model, save_model
+from mmner.training import ModelShapeError, load_model, save_model
+from oracles import reference_init_params
+from support import MISSHAPEN, misshapen
 
 SIZES = dict(window=3, d_token=4, d_feature=2, hidden_dim=3)
 
@@ -112,3 +115,44 @@ def test_pretrained_token_table_is_kept_and_draws_nothing():
     for name in ("emb_seg", "emb_bigram"):
         expected = random_table(*meta.tensor_shapes()[name], rng)
         np.testing.assert_array_equal(given.tables[name].vectors, expected.vectors)
+
+
+@pytest.mark.parametrize("pretrained", [False, True], ids=["fresh", "pretrained"])
+@pytest.mark.parametrize("bigrams", [True, False], ids=["bigrams", "no-bigrams"])
+@pytest.mark.parametrize("mode", ["positional", "segfeat"])
+def test_init_params_draws_what_the_reference_draws(mode, bigrams, pretrained):
+    corpus = synthetic_corpus(n_sentences=6, seed=3)
+    meta = ModelMeta.from_corpus(corpus.sentences, None, scheme=corpus.scheme, mode=mode,
+                                 bigrams=bigrams, window=3, d_token=5, d_feature=3, hidden_dim=4)
+    token = random_table(len(meta.token_itos), 5, np.random.default_rng(1)) if pretrained else None
+    ours_rng, theirs_rng = np.random.default_rng(11), np.random.default_rng(11)
+    ours = init_params(meta, ours_rng, token).named_tensors()
+    theirs = reference_init_params(meta, theirs_rng, token)
+    assert list(ours) == list(theirs)
+    for name, arr in theirs.items():
+        assert np.array_equal(ours[name], arr), name
+    assert ours_rng.bit_generator.state == theirs_rng.bit_generator.state  # as many draws
+
+
+def test_from_tensors_takes_any_order_without_copying():
+    params, _ = tiny_instance(3, mode="segfeat", bigrams=True)
+    tensors = dict(reversed(list(params.named_tensors().items())))
+    rebuilt = ModelParams.from_tensors(params.meta, tensors)
+    assert list(rebuilt.named_tensors()) == list(params.meta.tensor_shapes())
+    for name, arr in rebuilt.named_tensors().items():
+        assert arr is tensors[name]
+
+
+@pytest.mark.parametrize("name", MISSHAPEN)
+def test_from_tensors_names_a_misshapen_tensor(name):
+    params = misshapen(name)
+    with pytest.raises(ValueError, match=f"tensor {name}: expected shape"):
+        ModelParams.from_tensors(params.meta, params.named_tensors())
+
+
+@pytest.mark.parametrize("name", MISSHAPEN)
+def test_load_model_rejects_a_misshapen_tensor(tmp_path, name):
+    path = str(tmp_path / "m.bin")
+    save_model(misshapen(name), path)
+    with pytest.raises(ModelShapeError, match=f"tensor {name}: expected shape"):
+        load_model(path)

@@ -5,6 +5,7 @@ import pytest
 
 from mmner.corpus import Sentence
 from mmner.embeddings import InputAssembly, random_table
+from mmner.model import init_params
 from mmner.network import (
     EmissionMatrix,
     LstmParams,
@@ -14,7 +15,8 @@ from mmner.network import (
     emissions,
     forward_sentence,
 )
-from oracles import lstm_step
+from mmner.synthetic import tiny_instance
+from oracles import lstm_step, reference_lstm_init, reference_projection_init
 
 
 def sigmoid(x):
@@ -30,7 +32,7 @@ def step(x, h_prev, c_prev, params):
 
 class TestLstmCell:
     def test_zero_parameters_fixed_point(self):
-        params = LstmParams(1, 1, np.zeros((4, 2)), np.zeros(4))
+        params = LstmParams(np.zeros((4, 2)), np.zeros(4))
         h, c = step(np.zeros(1), np.zeros(1), np.zeros(1), params)
         # all gates sit at 1/2, the candidate at 0: zero state stays zero
         np.testing.assert_array_equal(h, 0.0)
@@ -43,7 +45,7 @@ class TestLstmCell:
     def test_scalar_hand_computation(self):
         w = np.array([[0.1, 0.2], [0.3, -0.1], [0.2, 0.2], [0.5, -0.5]])
         b = np.array([0.01, 0.02, 0.03, 0.04])
-        params = LstmParams(1, 1, w, b)
+        params = LstmParams(w, b)
         h, c = step(np.array([1.0]), np.array([0.5]), np.array([0.7]), params)
         i = sigmoid(0.1 * 1.0 + 0.2 * 0.5 + 0.01)
         f = sigmoid(0.3 * 1.0 - 0.1 * 0.5 + 0.02)
@@ -54,23 +56,20 @@ class TestLstmCell:
         np.testing.assert_allclose(h, o * math.tanh(c_expect), rtol=1e-12)
 
     def test_init_stacks_four_gates(self):
-        rng = np.random.default_rng(0)
-        params = LstmParams.init(3, 2, rng)
-        assert params.w.shape == (8, 5)
+        meta = tiny_instance(0)[0].meta
+        params = init_params(meta, np.random.default_rng(0)).fwd
+        h_dim, d = params.hidden_dim, params.input_dim  # read off the arrays
+        assert (h_dim, d) == (meta.hidden_dim, meta.input_width)
+        assert params.w.shape == (4 * h_dim, d + h_dim)
         np.testing.assert_array_equal(params.b, 0.0)
         # gate k owns rows [k*h, (k+1)*h): a bias on the forget rows alone
         # changes only how much of the carried cell survives
         params.w[:] = 0.0
-        params.b[2:4] = 50.0
-        h, c = step(np.zeros(3), np.zeros(2), np.array([1.0, -2.0]), params)
-        np.testing.assert_allclose(c, [1.0, -2.0])
-        np.testing.assert_allclose(h, 0.5 * np.tanh([1.0, -2.0]))
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            LstmParams(2, 2, np.zeros((8, 3)), np.zeros(8))
-        with pytest.raises(ValueError):
-            LstmParams(2, 2, np.zeros((8, 4)), np.zeros(4))
+        params.b[h_dim:2 * h_dim] = 50.0
+        carried = np.linspace(-2.0, 1.0, h_dim)
+        h, c = step(np.zeros(d), np.zeros(h_dim), carried, params)
+        np.testing.assert_allclose(c, carried)
+        np.testing.assert_allclose(h, 0.5 * np.tanh(carried))
 
 
 class TestBiLstm:
@@ -112,7 +111,7 @@ class TestBiLstm:
         for table in (assembly.token_table, assembly.slot_tables[0]):  # the slots share one table
             table.vectors *= 20.0  # inputs spread over about +-2
         width = assembly.width
-        fwd, bwd = (LstmParams(width, 3, rng.normal(size=(12, width + 3)), rng.normal(size=12))
+        fwd, bwd = (LstmParams(rng.normal(size=(12, width + 3)), rng.normal(size=12))
                     for _ in range(2))
         cache = forward_sentence(sent, assembly, fwd, bwd, proj)
         if reverse:
@@ -128,7 +127,7 @@ class TestBiLstm:
 class TestEmissions:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        proj = ProjectionParams.init(4, 6, rng)
+        proj = ProjectionParams(*reference_projection_init(4, 6, rng))
         em = emissions(rng.normal(size=(7, 6)) * 10, proj)
         np.testing.assert_allclose(em.probs.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(np.log(em.probs), em.log_probs, atol=1e-12)
@@ -159,9 +158,9 @@ def small_net(rng, n=3, window=3, d_tok=2, d_feat=2, hidden=3, n_labels=3):
     token = random_table(5, d_tok, rng)
     feat = random_table(4, d_feat, rng)
     assembly = InputAssembly(window, token, [feat, feat])
-    fwd = LstmParams.init(assembly.width, hidden, rng)
-    bwd = LstmParams.init(assembly.width, hidden, rng)
-    proj = ProjectionParams.init(n_labels, 2 * hidden, rng)
+    fwd = LstmParams(*reference_lstm_init(assembly.width, hidden, rng))
+    bwd = LstmParams(*reference_lstm_init(assembly.width, hidden, rng))
+    proj = ProjectionParams(*reference_projection_init(n_labels, 2 * hidden, rng))
     sent = Sentence(
         tokens=["x"] * n,
         features=np.array([[int(rng.integers(4)), int(rng.integers(4))] for _ in range(n)]),
