@@ -39,7 +39,8 @@ for sent in sentences:
     pairs = [f"{tok}/{scheme.name(lab)}" for tok, lab in zip(sent.tokens, sent.gold_labels)]
     print(" ", " ".join(pairs))
 
-# BIO repair: an I- tag with no open span of the same type becomes a B- tag.
+# BIO repair: a span of type X opens at B-X, or at an I-X that does not continue
+# an X span (corpus.entity_spans); repair writes each such I-X as B-X.
 broken = [scheme.index("I-PER.NAM"), scheme.index("I-PER.NAM"), scheme.outside_index]
 fixed, changes = repair_bio(broken, scheme)
 print("\nrepair", [scheme.name(x) for x in broken], "->", [scheme.name(x) for x in fixed],

@@ -170,15 +170,10 @@ def _read(path: str, what: str) -> str:
         raise CliError(f"{what} file {path} is not UTF-8: {exc}") from None
 
 
-def _load_corpus(path: str, scheme: TagScheme, what: str) -> list[Sentence]:
+def _load_labeled(path: str, scheme: TagScheme, what: str) -> list[Sentence]:
     sentences, repairs = parse_conll(_read(path, what), scheme)
     if repairs:
         print(f"note: repaired {repairs} invalid BIO label(s) in {path}", file=sys.stderr)
-    return sentences
-
-
-def _load_labeled(path: str, scheme: TagScheme, what: str) -> list[Sentence]:
-    sentences = _load_corpus(path, scheme, what)
     if any(s.gold_labels is None for s in sentences):
         raise CliError(f"{what} file {path} must contain labeled sentences")
     return sentences
@@ -208,6 +203,10 @@ def cmd_train(args) -> int:
                 raise CliError(f"{key} directory not found: {folder}")
             if os.path.isdir(v[key]):
                 raise CliError(f"{key} names a directory: {v[key]}")
+            here = os.path.realpath(v[key])
+            for other in ("metrics-out", "train", "dev", "test", "embeddings", "segmented-text"):
+                if other != key and v[other] and os.path.realpath(v[other]) == here:
+                    raise CliError(f"{key} and {other} name the same file: {v[key]}")
         train_raw = _load_labeled(v["train"], scheme, "training")
         if not train_raw:
             raise CliError(f"training file {v['train']} must contain labeled sentences")
@@ -279,7 +278,7 @@ def cmd_eval(args) -> int:
     train_surfaces = None
     if args.train_gold:
         train_surfaces = gold_entity_surfaces(
-            _load_corpus(args.train_gold, scheme, "training gold"), scheme
+            _load_labeled(args.train_gold, scheme, "training gold"), scheme
         )
     print(render_report(evaluate(gold, preds, scheme, train_surfaces), tsv=args.tsv))
     return 0

@@ -62,12 +62,15 @@ class TagScheme:
         if self.outside_label not in self.labels:
             raise ValueError("outside label %r not in label set" % self.outside_label)
         types = {f"{cat}.{kind}" for cat, kind in self.entity_types}
+        parts = []
         for name in self.labels:
-            if name == self.outside_label:
-                continue
             prefix, _, typ = name.partition("-")
-            if prefix not in ("B", "I") or typ not in types:
+            if name == self.outside_label:
+                prefix, typ = "O", None
+            elif prefix not in ("B", "I") or typ not in types:
                 raise ValueError("label %r is not B-/I- of a declared entity type" % name)
+            parts.append((prefix, typ))
+        object.__setattr__(self, "_parts", tuple(parts))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.labels)})
 
     @classmethod
@@ -97,11 +100,7 @@ class TagScheme:
 
     def split(self, i: int) -> tuple[str, str | None]:
         """Return (prefix, type) for a label index; ("O", None) for outside."""
-        name = self.labels[i]
-        if name == self.outside_label:
-            return "O", None
-        prefix, _, typ = name.partition("-")
-        return prefix, typ
+        return self._parts[i]
 
     def begin(self, typ: str) -> int:
         return self.index(f"B-{typ}")
@@ -147,44 +146,42 @@ class EntitySpan:
     end: int
 
 
-def repair_bio(labels: list[int], scheme: TagScheme) -> tuple[list[int], int]:
-    """Repair an invalid BIO sequence, returning (repaired, change count).
-
-    The rule: an I-X whose (already repaired) predecessor is neither B-X nor
-    I-X becomes B-X. Deterministic, minimal edit, idempotent on valid input.
-    """
-    repaired = list(labels)
-    changes = 0
-    prev_type = None
-    for i, lab in enumerate(repaired):
-        prefix, typ = scheme.split(lab)
-        if prefix == "I" and typ != prev_type:
-            repaired[i] = scheme.begin(typ)
-            changes += 1
-            prefix = "B"
-        prev_type = typ if prefix in ("B", "I") else None
-    return repaired, changes
-
-
-def entities_from_labels(labels: list[int], scheme: TagScheme) -> list[EntitySpan]:
-    """Extract maximal B-X (I-X)* runs as spans. Input must be valid BIO."""
+def entity_spans(labels: list[int], scheme: TagScheme) -> list[EntitySpan]:
+    """The spans of any label sequence, the one BIO reading rule: a span of
+    type X opens at B-X, or at an I-X that does not continue an X span, and
+    runs over the I-X labels that follow. On valid BIO these are its maximal
+    B-X (I-X)* runs."""
     spans: list[EntitySpan] = []
     open_type: str | None = None
     open_start = 0
     for i, lab in enumerate(labels):
         prefix, typ = scheme.split(lab)
-        if prefix == "I":
-            if open_type != typ:
-                raise ValueError(f"invalid BIO sequence: I-{typ} at position {i}")
+        if prefix == "I" and typ == open_type:
             continue
         if open_type is not None:
             spans.append(EntitySpan(open_type, open_start, i))
-            open_type = None
-        if prefix == "B":
-            open_type = typ
-            open_start = i
+        open_type, open_start = typ, i
     if open_type is not None:
         spans.append(EntitySpan(open_type, open_start, len(labels)))
+    return spans
+
+
+def repair_bio(labels: list[int], scheme: TagScheme) -> tuple[list[int], int]:
+    """Rewrite a label sequence as valid BIO, returning (repaired, change count).
+
+    The spans are those :func:`entity_spans` reads, so an I-X that opens a
+    span becomes B-X. The count is the number of positions that differ.
+    """
+    repaired = labels_from_entities(entity_spans(labels, scheme), len(labels), scheme)
+    return repaired, sum(a != b for a, b in zip(labels, repaired))
+
+
+def entities_from_labels(labels: list[int], scheme: TagScheme) -> list[EntitySpan]:
+    """The spans of valid BIO; an I-X that opens a span raises ValueError."""
+    spans = entity_spans(labels, scheme)
+    for span in spans:
+        if scheme.split(labels[span.start])[0] == "I":
+            raise ValueError(f"invalid BIO sequence: I-{span.category} at position {span.start}")
     return spans
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import Sentence, TagScheme, entities_from_labels, repair_bio
+from .corpus import Sentence, TagScheme, entities_from_labels, entity_spans
 
 GROUP_OF_KIND = {"NAM": "named", "NOM": "nominal"}
 GROUPS = ("named", "nominal")
@@ -90,10 +90,10 @@ def evaluate(
 ) -> EvalReport:
     """Exact-span evaluation of predictions against gold sentences.
 
-    Predictions are BIO-repaired before span extraction. With a set of
-    training gold entity surfaces, OOV recall is computed over gold entities
-    whose surface string is absent from it; without one the OOV fields stay
-    unknown and render as "-".
+    Gold labels must be valid BIO; predictions are read by the one rule of
+    :func:`entity_spans`. With a set of training gold entity surfaces, OOV
+    recall is computed over gold entities whose surface string is absent
+    from it; without one the OOV fields stay unknown and render as "-".
     """
     if len(gold_sentences) != len(predicted):
         raise ValueError("sentence count mismatch")
@@ -105,7 +105,7 @@ def evaluate(
         if len(pred) != len(sent):
             raise ValueError("sentence length mismatch")
         gold_spans = set(entities_from_labels(sent.gold_labels, scheme))
-        pred_spans = set(entities_from_labels(repair_bio(list(pred), scheme)[0], scheme))
+        pred_spans = set(entity_spans(pred, scheme))
         for span in gold_spans | pred_spans:
             counts = report.groups.setdefault(group_of(span.category), Counts())
             in_gold, in_pred = span in gold_spans, span in pred_spans

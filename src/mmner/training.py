@@ -31,7 +31,7 @@ from .evaluation import evaluate
 from .model import WINDOW, ModelMeta, ModelParams
 from .network import EmissionMatrix, SentenceCache, backward, forward_sentence
 from .structured import ScoredSequence, beam_topk, sentence_score, viterbi
-from .triggers import Trigger
+from .triggers import HAMMING, Trigger
 
 DEFAULT_LR = 0.1
 DEFAULT_DECAY = 0.95
@@ -116,7 +116,8 @@ def _augmented_best(
 ) -> tuple[list[int], float]:
     """Maximize s + Delta; returns (labels, augmented score), ties as in
     :func:`_ranked`."""
-    if not trigger.needs_rerank:
+    # the Hamming cost is per position, so Viterbi on the folded emissions is exact
+    if trigger.kind == HAMMING:
         best = viterbi(_hamming_augmented(em, gold, trigger.kappa), trans)
         return best.labels, best.score
 

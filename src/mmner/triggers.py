@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .corpus import TagScheme, entities_from_labels, repair_bio
+from .corpus import TagScheme, entity_spans
 from .evaluation import Counts
 
 HAMMING = "hamming"
@@ -47,12 +47,6 @@ class Trigger:
             return fscore_delta(gold, pred, self.kappa, scheme)
         return integrated_delta(gold, pred, self.kappa, self.beta, scheme)
 
-    @property
-    def needs_rerank(self) -> bool:
-        """Hamming decomposes per position (exact augmented decode); the
-        F-score-based triggers do not and go through beam reranking."""
-        return self.kind != HAMMING
-
 
 def _check_lengths(gold, pred):
     if len(gold) != len(pred):
@@ -69,12 +63,13 @@ def sentence_f1(gold: list[int], pred: list[int], scheme: TagScheme) -> float:
     """Entity-level F1 between two label sequences of one sentence.
 
     Spans must match exactly in category, start and end. Both inputs are
-    BIO-repaired first. Degenerate conventions: both span sets empty -> 1.0,
-    exactly one empty -> 0.0 (:class:`Counts`' 0-when-unsupported rule).
+    read by the one rule of :func:`entity_spans`, valid BIO or not.
+    Degenerate conventions: both span sets empty -> 1.0, exactly one empty
+    -> 0.0 (:class:`Counts`' 0-when-unsupported rule).
     """
     _check_lengths(gold, pred)
-    gold_spans = set(entities_from_labels(repair_bio(gold, scheme)[0], scheme))
-    pred_spans = set(entities_from_labels(repair_bio(pred, scheme)[0], scheme))
+    gold_spans = set(entity_spans(gold, scheme))
+    pred_spans = set(entity_spans(pred, scheme))
     if not gold_spans and not pred_spans:
         return 1.0
     tp = len(gold_spans & pred_spans)

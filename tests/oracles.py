@@ -14,14 +14,19 @@ the one-gather embeddings.assemble_window replaced, its padded ids built
 from lists. reference_init_params is the parameter init that drew through a
 Glorot helper and per-class initializers before model.init_params drew one
 array per tensor name; both must draw the same numbers.
+reference_repair_bio, reference_entities_from_labels and
+reference_sentence_f1 are the two BIO walkers, and the F1 that chained
+them, that corpus.entity_spans replaced; they parse each label name as the
+scheme's split did then.
 """
 
 import itertools
 
 import numpy as np
 
-from mmner.corpus import BOUNDARY
+from mmner.corpus import BOUNDARY, EntitySpan
 from mmner.embeddings import PAD_INDEX, random_table
+from mmner.evaluation import Counts
 from mmner.network import EmissionMatrix
 from mmner.structured import ScoredSequence, viterbi
 
@@ -212,3 +217,60 @@ def reference_init_params(meta, rng, token_table=None):
         meta.scheme.n_labels, 2 * meta.hidden_dim, rng)
     out["transitions"] = np.zeros(shapes["transitions"])
     return out
+
+
+def reference_split(scheme, i):
+    """(prefix, type) of a label index, parsed from its name; ("O", None) for outside."""
+    name = scheme.labels[i]
+    if name == scheme.outside_label:
+        return "O", None
+    prefix, _, typ = name.partition("-")
+    return prefix, typ
+
+
+def reference_repair_bio(labels, scheme):
+    """(repaired, change count): an I-X whose (already repaired) predecessor
+    is neither B-X nor I-X becomes B-X."""
+    repaired = list(labels)
+    changes = 0
+    prev_type = None
+    for i, lab in enumerate(repaired):
+        prefix, typ = reference_split(scheme, lab)
+        if prefix == "I" and typ != prev_type:
+            repaired[i] = scheme.begin(typ)
+            changes += 1
+            prefix = "B"
+        prev_type = typ if prefix in ("B", "I") else None
+    return repaired, changes
+
+
+def reference_entities_from_labels(labels, scheme):
+    """Maximal B-X (I-X)* runs as spans; raises ValueError on invalid BIO."""
+    spans = []
+    open_type = None
+    open_start = 0
+    for i, lab in enumerate(labels):
+        prefix, typ = reference_split(scheme, lab)
+        if prefix == "I":
+            if open_type != typ:
+                raise ValueError(f"invalid BIO sequence: I-{typ} at position {i}")
+            continue
+        if open_type is not None:
+            spans.append(EntitySpan(open_type, open_start, i))
+            open_type = None
+        if prefix == "B":
+            open_type = typ
+            open_start = i
+    if open_type is not None:
+        spans.append(EntitySpan(open_type, open_start, len(labels)))
+    return spans
+
+
+def reference_sentence_f1(gold, pred, scheme):
+    """Entity F1 of both sequences repaired, then read as valid BIO."""
+    gold_spans = set(reference_entities_from_labels(reference_repair_bio(gold, scheme)[0], scheme))
+    pred_spans = set(reference_entities_from_labels(reference_repair_bio(pred, scheme)[0], scheme))
+    if not gold_spans and not pred_spans:
+        return 1.0
+    tp = len(gold_spans & pred_spans)
+    return Counts(tp, len(pred_spans) - tp, len(gold_spans) - tp).f1

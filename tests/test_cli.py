@@ -165,6 +165,27 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == f"error: metrics-out names a directory: {tmp_path / 'm.bin.log'}\n"
 
+    @pytest.mark.parametrize("out, used", [
+        ("model_out", "metrics_out"), ("model_out", "train"), ("metrics_out", "train"),
+        ("model_out", "dev"), ("metrics_out", "test"), ("model_out", "embeddings"),
+        ("metrics_out", "segmented_text")])
+    def test_output_over_a_file_the_run_uses_fails_before_reading(self, tmp_path, capsys, out,
+                                                                  used):
+        # the same file spelled two ways; the training file is absent unless
+        # it is the one named twice, so the check must come before any read
+        (tmp_path / "sub").mkdir()
+        target = tmp_path / "used.txt"
+        target.write_text("keep\n", "utf-8")
+        paths = {"train": str(tmp_path / "absent.conll"), "model_out": str(tmp_path / "m.bin"),
+                 used: str(target), out: str(tmp_path / "sub" / ".." / "used.txt")}
+        cfg = write_config(tmp_path / "o.cfg", **paths)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {out.replace('_', '-')} and {used.replace('_', '-')} "
+                       f"name the same file: {paths[out]}\n")
+        assert target.read_text("utf-8") == "keep\n"
+        assert sorted(tmp_path.iterdir()) == [cfg, tmp_path / "sub", target]
+
     def test_unknown_config_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("optimizer = adam\n", "utf-8")
@@ -405,6 +426,19 @@ class TestEval:
         rows = [line.split("\t") for line in capsys.readouterr().out.strip().splitlines()]
         assert rows[-1][1] == "-"
 
+    def test_unlabeled_train_gold_exits_2(self, tmp_path, corpus_files, capsys):
+        code, model = train_once(tmp_path, corpus_files)
+        text = (corpus_files / "train.conll").read_text("utf-8")
+        unlabeled = tmp_path / "train.txt"
+        unlabeled.write_text("\n".join(line.split("\t")[0] for line in text.split("\n")), "utf-8")
+        capsys.readouterr()
+        dev = str(corpus_files / "dev.conll")
+        assert main(["eval", str(model), dev, "--train-gold", str(unlabeled)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: training gold file {unlabeled} "
+                                "must contain labeled sentences\n")
+
 
 class TestBetaSweep:
     def test_table(self, tmp_path, corpus_files, capsys):
@@ -441,6 +475,14 @@ class TestBetaSweep:
                            metrics_out=str(nodir / "m.log"))
         assert main(["train", "--config", str(cfg), "--beta-sweep", "0.5"]) == 0
         assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_outputs_may_name_an_input(self, tmp_path, corpus_files, capsys):
+        train = tmp_path / "train.conll"
+        train.write_bytes((corpus_files / "train.conll").read_bytes())
+        cfg = write_config(tmp_path / "in.cfg", train=str(train), epochs="1",
+                           trigger="integrated", model_out=str(train), metrics_out=str(train))
+        assert main(["train", "--config", str(cfg), "--beta-sweep", "0.5"]) == 0
+        assert train.read_bytes() == (corpus_files / "train.conll").read_bytes()
 
     def test_bad_list(self, tmp_path, corpus_files, capsys):
         model = tmp_path / "s.bin"

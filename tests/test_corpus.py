@@ -16,6 +16,7 @@ from mmner.corpus import (
     build_vocab,
     encode_corpus,
     entities_from_labels,
+    entity_spans,
     labels_from_entities,
     load_segmentation,
     parse_conll,
@@ -27,7 +28,15 @@ from mmner.corpus import (
     vocab_sources,
 )
 
-from oracles import reference_bigrams
+from mmner.triggers import sentence_f1
+
+from oracles import (
+    reference_bigrams,
+    reference_entities_from_labels,
+    reference_repair_bio,
+    reference_sentence_f1,
+    reference_split,
+)
 
 SCHEME = TagScheme.from_entity_types((("PER", "NAM"), ("GPE", "NOM")))
 
@@ -141,6 +150,54 @@ class TestSpans:
             labels = labels_from_entities(spans, n, SCHEME)
             assert entities_from_labels(labels, SCHEME) == spans
             assert labels_from_entities(entities_from_labels(labels, SCHEME), n, SCHEME) == labels
+
+
+def _outcome(read, labels, scheme):
+    """What read(labels, scheme) returns, or the message of its ValueError."""
+    try:
+        return read(labels, scheme)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _patterns(labels, scheme):
+    """The invalid or easily misread label pairs a sequence holds."""
+    parts = [reference_split(scheme, lab) for lab in labels]
+    for (p0, t0), (p1, t1) in zip([("O", None)] + parts, parts):
+        if p1 == "I" and t1 != t0:
+            yield "type switch" if t0 else "stray I"
+        if p0 == p1 == "B":
+            yield "adjacent B"
+
+
+class TestOneReadingRule:
+    def test_matches_the_two_walkers_it_replaced(self):
+        # criterion 10's schemes; 10,000 pairs make 20,000 sequences
+        schemes = [TagScheme.from_entity_types(pairs) for pairs in (
+            (("PER", "NAM"),),
+            (("PER", "NAM"), ("GPE", "NOM")),
+            (("PER", "NAM"), ("PER", "NOM"), ("GPE", "NAM"), ("GPE", "NOM")),
+        )]
+        rng = np.random.default_rng(14)
+        seen = {"stray I": 0, "type switch": 0, "adjacent B": 0}
+        lengths = set()
+        for case in range(10_000):
+            scheme = schemes[case % len(schemes)]
+            n = int(rng.integers(0, 15))
+            lengths.add(n)
+            gold, pred = rng.integers(scheme.n_labels, size=(2, n)).tolist()
+            for labels in (gold, pred):
+                repaired = reference_repair_bio(labels, scheme)
+                assert entity_spans(labels, scheme) == reference_entities_from_labels(
+                    repaired[0], scheme)
+                assert repair_bio(labels, scheme) == repaired
+                assert _outcome(entities_from_labels, labels, scheme) == _outcome(
+                    reference_entities_from_labels, labels, scheme)
+                for pattern in _patterns(labels, scheme):
+                    seen[pattern] += 1
+            assert sentence_f1(gold, pred, scheme) == reference_sentence_f1(gold, pred, scheme)
+        assert lengths == set(range(15))
+        assert min(seen.values()) > 1000, seen
 
 
 class TestParseConll:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mmner import training
 from mmner.corpus import TagScheme
+from mmner.synthetic import tiny_instance
 from mmner.triggers import (
     Trigger,
     fscore_delta,
@@ -136,10 +138,18 @@ class TestTriggerType:
         assert Trigger("fscore", 0.2).delta(gold, pred, SCHEME) == pytest.approx(0.2)
         assert Trigger("integrated", 0.2, 0.2).delta(gold, pred, SCHEME) == pytest.approx(0.24)
 
-    def test_needs_rerank(self):
-        assert not Trigger("hamming").needs_rerank
-        assert Trigger("fscore").needs_rerank
-        assert Trigger("integrated").needs_rerank
+    def test_only_the_f_score_triggers_call_the_beam(self, monkeypatch):
+        # Hamming decodes exactly by Viterbi; the F-score triggers rerank the
+        # beam once per instance
+        calls = []
+        beam_topk = training.beam_topk
+        monkeypatch.setattr(training, "beam_topk", lambda *a: calls.append(a) or beam_topk(*a))
+        params, sent = tiny_instance(0)
+        for kind, per_call in (("hamming", 0), ("fscore", 1), ("integrated", 1)):
+            calls.clear()
+            for _ in range(3):
+                training.instance_gradients(sent, params, Trigger(kind), 8)
+            assert len(calls) == 3 * per_call, kind
 
     def test_validation(self):
         with pytest.raises(ValueError):
