@@ -3,7 +3,6 @@ shapes, and the wiring between representation modes and embedding tables."""
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,10 +122,14 @@ class ModelParams:
 
     @classmethod
     def from_tensors(cls, meta: ModelMeta, tensors: dict) -> "ModelParams":
-        """The model over ``tensors`` (name -> array, in any order), each
-        array wired to its field without a copy; an ``emb_*`` entry may also
-        be a ready table, which is kept as it is."""
-        t = {name: tensors[name] for name in meta.tensor_shapes()}
+        """The model over ``tensors`` (name -> array, in any order, exactly the
+        names of the layout), each array wired to its field without a copy; an
+        ``emb_*`` entry may also be a ready table, which is kept as it is."""
+        names = meta.tensor_shapes()
+        missing, extra = sorted(set(names) - set(tensors)), sorted(set(tensors) - set(names))
+        if missing or extra:
+            raise ValueError(f"tensor inventory mismatch: missing {missing}, unexpected {extra}")
+        t = {name: tensors[name] for name in names}
         tables = {name: arr if isinstance(arr, EmbeddingTable) else EmbeddingTable(arr)
                   for name, arr in t.items() if name.startswith("emb_")}
         return cls(meta, tables, LstmParams(t["lstm_fwd_w"], t["lstm_fwd_b"]),
@@ -173,9 +176,8 @@ class ModelParams:
         return InputAssembly(self.meta.window, self.tables["emb_token"], slots)
 
     def copy(self) -> "ModelParams":
-        """Deep copy of every tensor (metadata is shared, it is frozen)."""
-        self.fold()
-        return copy.deepcopy(self, {id(self.meta): self.meta})
+        """A copy of every tensor, folded (metadata is shared, it is frozen)."""
+        return self.from_tensors(self.meta, {n: a.copy() for n, a in self.named_tensors().items()})
 
 
 def init_params(

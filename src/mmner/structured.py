@@ -57,9 +57,8 @@ def viterbi(em: EmissionMatrix, trans: np.ndarray) -> ScoredSequence:
     back = np.empty((n, n_labels), dtype=np.intp)
     for t in range(1, n):
         cand = delta[:, None] + trans[:n_labels]  # (prev, next)
-        best_prev = cand.argmax(axis=0)  # first max <=> lowest index
-        delta = cand[best_prev, np.arange(n_labels)] + em.log_probs[t]
-        back[t] = best_prev
+        cand.argmax(axis=0, out=back[t])  # first max <=> lowest index
+        delta = cand.max(axis=0) + em.log_probs[t]
     last = int(delta.argmax())
     labels = [0] * n
     labels[-1] = last

@@ -20,6 +20,7 @@ import contextlib
 import json
 import math
 import os
+import secrets
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -330,13 +331,15 @@ def save_model(params: ModelParams, path: str) -> None:
     uint32 metadata length + UTF-8 JSON metadata, uint32 tensor count, then
     per tensor: uint16 name length + name, uint8 rank, rank x uint64 dims,
     float64 values row-major. Each tensor is written from its own array; a
-    failed save removes the tmp file and leaves ``path`` as it was.
+    failed save removes the tmp file and leaves ``path`` as it was. The tmp
+    file is new: no other file is ever opened or renamed away.
     """
     meta_blob = _meta_to_json(params.meta)
     tensors = params.named_tensors()
-    tmp = path + ".tmp"
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fh = open(tmp, "xb")  # exclusive: a clash fails the save; 0666 less the umask, as before
     try:
-        with open(tmp, "wb") as fh:
+        with fh:
             fh.write(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(meta_blob)) + meta_blob
                      + struct.pack("<I", len(tensors)))
             for name, arr in tensors.items():
@@ -404,11 +407,6 @@ def load_model(path: str) -> ModelParams:
         if reader.left:
             raise ModelShapeError(f"{reader.left} trailing bytes after last tensor")
 
-    expected = meta.tensor_shapes()
-    if set(tensors) != set(expected):
-        missing = sorted(set(expected) - set(tensors))
-        extra = sorted(set(tensors) - set(expected))
-        raise ModelShapeError(f"tensor inventory mismatch: missing {missing}, unexpected {extra}")
     try:
         return ModelParams.from_tensors(meta, tensors)
     except ValueError as exc:

@@ -113,6 +113,25 @@ class TestTrain:
         log = model.with_name("m.bin.log").read_text("utf-8").strip().splitlines()
         assert len(log) == 1
 
+    def test_a_corpus_at_the_old_tmp_name_survives_the_save(self, tmp_path, corpus_files):
+        corpus = tmp_path / "m.bin.tmp"
+        corpus.write_bytes((corpus_files / "train.conll").read_bytes())
+        code, model = train_once(tmp_path, corpus_files, name="m.bin", train=str(corpus),
+                                 dev="", epochs="1")
+        assert code == 0
+        assert corpus.read_bytes() == (corpus_files / "train.conll").read_bytes()
+        load_model(str(model))
+
+    def test_model_and_log_take_their_mode_from_the_umask(self, tmp_path, corpus_files):
+        old = os.umask(0o022)
+        try:
+            code, model = train_once(tmp_path, corpus_files, epochs="1")
+        finally:
+            os.umask(old)
+        assert code == 0
+        for path in (model, model.with_name(model.name + ".log")):
+            assert path.stat().st_mode & 0o777 == 0o644, path
+
     def test_bom_config_trains(self, tmp_path, corpus_files):
         cfg = write_config(tmp_path / "bom.cfg", train=str(corpus_files / "train.conll"),
                            model_out=str(tmp_path / "model.bin"))

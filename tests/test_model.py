@@ -156,3 +156,35 @@ def test_load_model_rejects_a_misshapen_tensor(tmp_path, name):
     save_model(misshapen(name), path)
     with pytest.raises(ModelShapeError, match=f"tensor {name}: expected shape"):
         load_model(path)
+
+
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_from_tensors_names_a_missing_or_extra_tensor(change):
+    params, _ = tiny_instance(3, mode="segfeat", bigrams=True)
+    tensors = params.named_tensors()
+    if change == "missing":
+        del tensors["proj_b"]
+        says = r"missing \['proj_b'\], unexpected \[\]"
+    else:
+        tensors["proj_c"] = tensors["proj_b"]
+        says = r"missing \[\], unexpected \['proj_c'\]"
+    with pytest.raises(ValueError, match=f"inventory mismatch: {says}"):
+        ModelParams.from_tensors(params.meta, tensors)
+
+
+def test_copy_is_folded_and_shares_no_memory(tmp_path):
+    params, _ = tiny_instance(3, mode="segfeat", bigrams=True)
+    for table in params.tables.values():
+        table.scale = 0.5
+    folded = {name: table.vectors * 0.5 for name, table in params.tables.items()}
+    folded.update((name, arr.copy()) for name, arr in params.dense_tensors().items())
+    twin = params.copy()
+    assert twin.meta is params.meta
+    assert all(table.scale == 1.0 for table in twin.tables.values())
+    assert list(twin.named_tensors()) == list(params.meta.tensor_shapes())
+    for name, arr in twin.named_tensors().items():
+        np.testing.assert_array_equal(arr, folded[name])
+        assert not np.shares_memory(arr, params.named_tensors()[name]), name
+    save_model(params, str(tmp_path / "original.bin"))
+    save_model(twin, str(tmp_path / "copy.bin"))
+    assert (tmp_path / "copy.bin").read_bytes() == (tmp_path / "original.bin").read_bytes()

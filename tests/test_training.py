@@ -573,7 +573,26 @@ class TestSerialization:
         params, _ = tiny_instance(10)
         path = str(tmp_path / "m.bin")
         save_model(params, path)
-        assert not (tmp_path / "m.bin.tmp").exists()
+        assert list(tmp_path.iterdir()) == [tmp_path / "m.bin"]
+
+    def test_save_leaves_a_file_at_the_old_tmp_name_untouched(self, tmp_path):
+        params, _ = tiny_instance(10)
+        bystander = tmp_path / "m.bin.tmp"
+        bystander.write_bytes(b"a training corpus")
+        save_model(params, str(tmp_path / "m.bin"))
+        assert bystander.read_bytes() == b"a training corpus"
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "m.bin", bystander]
+        load_model(str(tmp_path / "m.bin"))
+
+    def test_a_tmp_name_clash_fails_the_save_and_touches_nothing(self, tmp_path, monkeypatch):
+        params, _ = tiny_instance(10)
+        monkeypatch.setattr(training.secrets, "token_hex", lambda n: "0" * 2 * n)
+        bystander = tmp_path / f"m.bin.{'0' * 16}.tmp"
+        bystander.write_bytes(b"a training corpus")
+        with pytest.raises(FileExistsError):
+            save_model(params, str(tmp_path / "m.bin"))
+        assert bystander.read_bytes() == b"a training corpus"
+        assert list(tmp_path.iterdir()) == [bystander]
 
     def test_failed_save_removes_tmp_and_keeps_the_old_file(self, tmp_path, monkeypatch):
         params, _ = tiny_instance(10)
@@ -602,7 +621,7 @@ class TestSerialization:
                             raising=False)
         with pytest.raises(OSError, match="no space"):
             save_model(init_params(params.meta, np.random.default_rng(1)), str(path))
-        assert not (tmp_path / "m.bin.tmp").exists()
+        assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == before
 
     def test_load_peak_is_one_model(self, big_model):
