@@ -32,12 +32,6 @@ from .evaluation import evaluate, gold_entity_surfaces, render_report
 from .model import D_FEATURE, D_TOKEN, HIDDEN_DIM, WINDOW, ModelMeta, init_params
 from .synthetic import tiny_instance
 from .training import (
-    DEFAULT_BEAM_K,
-    DEFAULT_DECAY,
-    DEFAULT_EPOCHS,
-    DEFAULT_L2,
-    DEFAULT_LR,
-    DEFAULT_SEED,
     GRADCHECK_TOL,
     ModelIOError,
     TrainConfig,
@@ -48,7 +42,7 @@ from .training import (
     save_model,
     train,
 )
-from .triggers import DEFAULT_BETA, DEFAULT_KAPPA, INTEGRATED, TRIGGER_KINDS, Trigger
+from .triggers import INTEGRATED, TRIGGER_KINDS, Trigger
 
 class CliError(Exception):
     """Usage or input problem; maps to exit code 2."""
@@ -75,8 +69,8 @@ def _path(value: str) -> str:
 
 @dataclass(frozen=True)
 class Setting:
-    """One config key: its text converter (no range checks: Trigger,
-    TrainConfig and ModelMeta check their own fields), default and flag."""
+    """One config key: its text converter (no range checks: Trigger, TrainConfig
+    and ModelMeta check their own fields), default (unset: the field's) and flag."""
 
     convert: Callable[[str], Any] = str
     default: Any = None
@@ -89,15 +83,15 @@ PATH = Setting(_path, flag=False)
 SETTINGS = {
     "train": PATH, "dev": PATH, "test": PATH, "embeddings": PATH,
     "model-out": PATH, "metrics-out": PATH,
-    "seed": Setting(int, DEFAULT_SEED),
+    "seed": Setting(int),
     "trigger": Setting(str, INTEGRATED, choices=TRIGGER_KINDS),
-    "kappa": Setting(float, DEFAULT_KAPPA),
-    "beta": Setting(float, DEFAULT_BETA),
-    "beam-k": Setting(int, DEFAULT_BEAM_K),
-    "lr": Setting(float, DEFAULT_LR),
-    "decay": Setting(float, DEFAULT_DECAY),
-    "l2": Setting(float, DEFAULT_L2),
-    "epochs": Setting(int, DEFAULT_EPOCHS),
+    "kappa": Setting(float),
+    "beta": Setting(float),
+    "beam-k": Setting(int),
+    "lr": Setting(float),
+    "decay": Setting(float),
+    "l2": Setting(float),
+    "epochs": Setting(int),
     "window": Setting(int, WINDOW),
     "mode": Setting(str, MODE_POSITIONAL, choices=MODES),
     "bigrams": Setting(_on_off, True, choices=("on", "off")),
@@ -151,11 +145,12 @@ def _usage_errors():
 
 
 def _train_config(v: dict[str, Any]) -> TrainConfig:
-    return TrainConfig(
-        trigger=Trigger(v["trigger"], kappa=v["kappa"], beta=v["beta"]),
-        learning_rate=v["lr"], decay=v["decay"], l2_lambda=v["l2"], epochs=v["epochs"],
-        beam_k=v["beam-k"], seed=v["seed"], window=v["window"],
-    )
+    """The training settings that were given; the window is ModelMeta's."""
+    def given(**keys):  # field -> config key
+        return {field: v[key] for field, key in keys.items() if v[key] is not None}
+    return TrainConfig(Trigger(**given(kind="trigger", kappa="kappa", beta="beta")),
+                       **given(learning_rate="lr", decay="decay", l2_lambda="l2",
+                               epochs="epochs", beam_k="beam-k", seed="seed"))
 
 
 def _read(path: str, what: str) -> str:
@@ -204,7 +199,7 @@ def cmd_train(args) -> int:
             if os.path.isdir(v[key]):
                 raise CliError(f"{key} names a directory: {v[key]}")
             here = os.path.realpath(v[key])
-            for other in ("metrics-out", "train", "dev", "test", "embeddings", "segmented-text"):
+            for other in (k for k, setting in SETTINGS.items() if setting.convert is _path):
                 if other != key and v[other] and os.path.realpath(v[other]) == here:
                     raise CliError(f"{key} and {other} name the same file: {v[key]}")
         train_raw = _load_labeled(v["train"], scheme, "training")
@@ -215,12 +210,12 @@ def cmd_train(args) -> int:
         seg_map = _seg_map(v["segmented-text"])
         meta = ModelMeta.from_corpus(
             train_raw, seg_map, scheme=scheme, mode=v["mode"], bigrams=v["bigrams"],
-            window=tc.window, d_token=D_TOKEN, d_feature=D_FEATURE, hidden_dim=HIDDEN_DIM)
+            window=v["window"], d_token=D_TOKEN, d_feature=D_FEATURE, hidden_dim=HIDDEN_DIM)
     rng = np.random.default_rng(tc.seed)
     token_table = None
     if v["embeddings"]:
         text = _read(v["embeddings"], "embeddings")
-        token_table = load_pretrained(text, meta.token_vocab, D_TOKEN, rng)
+        token_table = load_pretrained(text, meta.token_vocab, meta.d_token, rng)
     params = init_params(meta, rng, token_table)
 
     train_set = meta.encode(train_raw, seg_map)

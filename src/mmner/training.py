@@ -29,29 +29,24 @@ import numpy as np
 from .corpus import Sentence, TagScheme
 from .embeddings import RowGrad
 from .evaluation import evaluate
-from .model import WINDOW, ModelMeta, ModelParams
+from .model import ModelMeta, ModelParams
 from .network import EmissionMatrix, SentenceCache, backward, forward_sentence
 from .structured import ScoredSequence, beam_topk, sentence_score, viterbi
 from .triggers import HAMMING, Trigger
 
-DEFAULT_LR = 0.1
-DEFAULT_DECAY = 0.95
-DEFAULT_L2 = 1e-6
-DEFAULT_EPOCHS = 20
-DEFAULT_BEAM_K = 8
-DEFAULT_SEED = 1
-
 
 @dataclass
 class TrainConfig:
+    """Training settings; ``window`` is the model's, None meaning ``params.meta.window``."""
+
     trigger: Trigger
-    learning_rate: float = DEFAULT_LR
-    decay: float = DEFAULT_DECAY
-    l2_lambda: float = DEFAULT_L2
-    epochs: int = DEFAULT_EPOCHS
-    beam_k: int = DEFAULT_BEAM_K
-    seed: int = DEFAULT_SEED
-    window: int = WINDOW
+    learning_rate: float = 0.1
+    decay: float = 0.95
+    l2_lambda: float = 1e-6
+    epochs: int = 20
+    beam_k: int = 8
+    seed: int = 1
+    window: int | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -210,11 +205,18 @@ def sgd_step(
     tensors absent from the gradient dict update with g = 0. The
     embedding tables decay lazily through their scale and write only the
     gradient's rows; dense tensors decay in place. Consumes ``grads``.
+    A gradient it cannot apply (no such tensor, not a RowGrad, misshapen) is a ValueError.
     """
     grads = grads or {}
+    dense = params.dense_tensors()
+    if unknown := grads.keys() - {*params.tables, *dense}:
+        raise ValueError(f"gradient for unknown tensor(s): {', '.join(sorted(unknown))}")
     for name, table in params.tables.items():
-        table.sgd_update(grads.get(name), lr, l2_lambda)
-    for name, arr in params.dense_tensors().items():
+        g = grads.get(name)
+        if g is not None and not isinstance(g, RowGrad):
+            raise ValueError(f"gradient for {name} must be a RowGrad, got {type(g).__name__}")
+        table.sgd_update(g, lr, l2_lambda)
+    for name, arr in dense.items():
         g = grads.get(name)
         if g is not None and g.shape != arr.shape:
             raise ValueError(f"gradient shape mismatch for {name}: {g.shape} vs {arr.shape}")
@@ -240,10 +242,13 @@ def train(
     epoch then wins). ``epoch_hook(epoch, params)`` may return True to stop
     after the current epoch; the best snapshot so far is still returned.
     The snapshot is always a copy, never ``params`` itself. A non-finite
-    instance loss raises :class:`TrainingDivergedError`.
+    instance loss raises :class:`TrainingDivergedError`, a window not the model's a ValueError.
     """
     if not train_set:
         raise ValueError("empty training set")
+    if config.window not in (None, params.meta.window):
+        raise ValueError(f"TrainConfig.window {config.window} differs from the model's "
+                         f"window {params.meta.window}")
     scheme = params.meta.scheme
     rng = np.random.default_rng(config.seed)
     best, best_f1 = None, -1.0
@@ -398,6 +403,8 @@ def load_model(path: str) -> ModelParams:
             name = reader.take(name_len).decode("utf-8", errors="replace")
             (rank,) = reader.unpack("<B")
             shape = reader.unpack(f"<{rank}Q")
+            if name in tensors:
+                raise ModelShapeError(f"tensor {name} is listed twice")
             try:
                 tensors[name] = reader.take(8 * math.prod(shape), lambda _: np.empty(shape, "<f8"))
             except ValueError as exc:  # numpy caps the rank (at 64) and the size

@@ -21,17 +21,14 @@ FSCORE = "fscore"
 INTEGRATED = "integrated"
 TRIGGER_KINDS = (HAMMING, FSCORE, INTEGRATED)
 
-DEFAULT_KAPPA = 0.2
-DEFAULT_BETA = 0.2
-
 
 @dataclass(frozen=True)
 class Trigger:
     """A margin-loss configuration; beta only matters for the integrated kind."""
 
     kind: str
-    kappa: float = DEFAULT_KAPPA
-    beta: float = DEFAULT_BETA
+    kappa: float = 0.2
+    beta: float = 0.2
 
     def __post_init__(self):
         if self.kind not in TRIGGER_KINDS:

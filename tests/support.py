@@ -1,5 +1,7 @@
 """Shared plumbing for tests that need a real model over a real corpus."""
 
+import struct
+
 import numpy as np
 
 from mmner.model import ModelMeta, init_params
@@ -38,3 +40,16 @@ def misshapen(name):
     shape = getattr(holder, field).shape
     setattr(holder, field, np.zeros((*shape[:-1], shape[-1] + 1)))
     return params
+
+
+def append_tensor(path, name, arr):
+    """Add one more tensor record, ``name`` holding ``arr``, to the end of the
+    model file at ``path`` and count it in the file's tensor count."""
+    blob = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", blob[12:16])
+    at = 16 + meta_len
+    (count,) = struct.unpack("<I", blob[at:at + 4])
+    encoded = name.encode("utf-8")
+    record = struct.pack(f"<H{len(encoded)}sB{arr.ndim}Q", len(encoded), encoded, arr.ndim,
+                         *arr.shape) + arr.astype("<f8").tobytes()
+    path.write_bytes(blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:] + record)

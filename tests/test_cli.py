@@ -12,11 +12,13 @@ import pytest
 
 import mmner
 
-from mmner.cli import main, parse_config, CliError
+from mmner.cli import SETTINGS, main, parse_config, CliError
 from mmner.corpus import parse_conll, TagScheme
 from mmner.synthetic import synthetic_corpus, tiny_instance, to_conll
 from mmner.training import load_model, save_model
-from support import MISSHAPEN, misshapen
+from support import MISSHAPEN, append_tensor, misshapen
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +145,24 @@ class TestTrain:
         assert code == 0
         log = model.with_name("nodev.bin.log").read_text("utf-8").strip().splitlines()
         assert all(line.split("\t")[3:] == ["-", "-", "-"] for line in log)
+
+    def test_the_readme_defaults_are_the_defaults(self, tmp_path, corpus_files):
+        # the hyperparameter block of the README's config example, written
+        # out, must train the same model as leaving every setting unset
+        readme = README.read_text("utf-8")
+        block = readme.split("# hyperparameters (these are the defaults", 1)[1]
+        block = block.split("\n", 1)[1].split("EOF\n", 1)[0]
+        flagged = {key for key, setting in SETTINGS.items() if setting.flag}
+        assert set(parse_config(block)) == flagged - {"beta-sweep", "segmented-text"}
+        # paper-sized layers: two sentences keep the 20 epochs short
+        train = tmp_path / "two.conll"
+        train.write_text((corpus_files / "train.conll").read_text("utf-8").split("\n\n")[0]
+                         + "\n", "utf-8")
+        for name, settings in (("given.bin", block), ("unset.bin", "")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"train = {train}\nmodel-out = {tmp_path / name}\n{settings}", "utf-8")
+            assert main(["train", "--config", str(cfg)]) == 0
+        assert (tmp_path / "given.bin").read_bytes() == (tmp_path / "unset.bin").read_bytes()
 
     def test_missing_train_file(self, tmp_path, corpus_files, capsys):
         cfg = write_config(
@@ -372,6 +392,7 @@ class TestPredict:
         pytest.param({"bigrams": 1}, id="int-bigrams"),
         pytest.param({"token_trainable": "no"}, id="string-token-trainable"),
         pytest.param({"token_trainable": False}, id="false-token-trainable"),
+        pytest.param({"bigram_itos": []}, id="bigrams-without-vocabulary"),
     ])
     def test_malformed_metadata_exits_2_without_traceback(self, tmp_path, corpus_files, patch):
         code, model = train_once(tmp_path, corpus_files, bigrams="on")
@@ -382,6 +403,30 @@ class TestPredict:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("patch, says", [
+    (None, "metadata is not a JSON object"),
+    ({"bigram_itos": []}, "bigram vocabulary must be present iff bigrams are enabled"),
+])
+def test_metadata_error_names_the_fault(tmp_path, corpus_files, capsys, patch, says):
+    model = tmp_path / "bad.bin"
+    save_model(tiny_instance(3)[0], str(model))
+    model.write_bytes(with_metadata(model.read_bytes(), patch))
+    assert main(["predict", str(model), str(corpus_files / "dev.conll")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad metadata block: {says}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_a_tensor_listed_twice_exits_2_naming_it(tmp_path, corpus_files, capsys, command):
+    params, _ = tiny_instance(3)
+    model = tmp_path / "twice.bin"
+    save_model(params, str(model))
+    append_tensor(model, "proj_b", np.full_like(params.proj.b_y, 7.0))
+    assert main([command, str(model), str(corpus_files / "dev.conll")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: tensor proj_b is listed twice\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["predict", "eval"])
@@ -546,11 +591,14 @@ class TestBadSettings:
         (["train"], {"bigrams": "maybe"}, "bigrams"),
         (["gradcheck", "--seed", "-1"], None, "seed"),
         (["gradcheck", "--corrupt", "nosuch"], None, "proj_b"),
+        (["train"], {"beta_sweep": ","}, "setting 'beta-sweep': empty list"),
+        (["train"], {"train": os.devnull}, "must contain labeled sentences"),
     ])
     def test_exits_2_with_an_error_line(self, tmp_path, corpus_files, capsys, argv, config, says):
         if config is not None:
-            cfg = write_config(tmp_path / "c.cfg", train=str(corpus_files / "train.conll"),
-                               model_out=str(tmp_path / "m.bin"), **config)
+            paths = {"train": str(corpus_files / "train.conll"),
+                     "model_out": str(tmp_path / "m.bin")}
+            cfg = write_config(tmp_path / "c.cfg", **{**paths, **config})
             argv = argv + ["--config", str(cfg)]
         assert main(argv) == 2  # an exception escaping main would be a traceback
         err = capsys.readouterr().err

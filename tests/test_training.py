@@ -2,6 +2,7 @@ import hashlib
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from mmner.training import (
 from mmner.triggers import Trigger
 
 from oracles import augmented_argmax
-from support import build_from_raw
+from support import append_tensor, build_from_raw
 
 TRIGGERS = (Trigger("hamming"), Trigger("fscore"), Trigger("integrated"))
 
@@ -243,6 +244,19 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             sgd_step(params, {"transitions": np.zeros(3)}, 0.1, 0.0)
 
+    @pytest.mark.parametrize("name, grad, says", [
+        ("lstm_fw_w", np.zeros(3), "gradient for unknown tensor(s): lstm_fw_w"),
+        ("emb_token", np.zeros((4, 2)), "gradient for emb_token must be a RowGrad, got ndarray"),
+    ])
+    def test_a_gradient_it_cannot_apply_raises_and_changes_nothing(self, name, grad, says):
+        params, _ = tiny_instance(7)
+        before = {k: v.copy() for k, v in params.named_tensors().items()}
+        with pytest.raises(ValueError) as err:
+            sgd_step(params, {name: grad}, 0.1, 0.3)
+        assert str(err.value) == says
+        for k, arr in params.named_tensors().items():
+            np.testing.assert_array_equal(arr, before[k])
+
     @pytest.mark.parametrize("l2", [0.0, 0.3])
     def test_in_place_update_matches_the_allocating_formula(self, l2):
         # sgd_step scales each gradient in place; the result must equal,
@@ -325,6 +339,23 @@ class TestTrainLoop:
         params, _, config = self.make_setup()
         with pytest.raises(ValueError):
             train(params, [], [], config)
+
+    def test_a_window_other_than_the_model_s_raises(self):
+        params, encoded, config = self.make_setup(epochs=1)
+        with pytest.raises(ValueError, match="TrainConfig.window 5 differs from the "
+                                             "model's window 3"):
+            train(params, encoded, [], replace(config, window=5))
+
+    def test_the_window_left_out_is_the_model_s(self):
+        runs = []
+        for window in (3, None):
+            params, encoded, config = self.make_setup(epochs=2)
+            best, log = train(params, encoded, encoded, replace(config, window=window))
+            runs.append((log, best.named_tensors()))
+        (log1, t1), (log2, t2) = runs
+        assert log1 == log2
+        for name in t1:
+            np.testing.assert_array_equal(t1[name], t2[name])
 
     def test_one_copy_without_dev(self, monkeypatch):
         params, encoded, config = self.make_setup(epochs=3)
@@ -518,6 +549,14 @@ class TestSerialization:
         open(path, "wb").write(blob.replace(b'"window":3', b'"window":5'))
         with pytest.raises(ModelShapeError):
             load_model(path)
+
+    def test_a_tensor_listed_twice_is_rejected(self, tmp_path):
+        params, _ = tiny_instance(3)
+        path = tmp_path / "m.bin"
+        save_model(params, str(path))
+        append_tensor(path, "proj_b", np.full_like(params.proj.b_y, 7.0))
+        with pytest.raises(ModelShapeError, match="^tensor proj_b is listed twice$"):
+            load_model(str(path))
 
     def test_undecodable_tensor_name(self, tmp_path):
         params, _ = tiny_instance(10)
