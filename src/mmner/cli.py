@@ -30,7 +30,7 @@ from .corpus import (
 from .embeddings import EmbeddingFormatError, load_pretrained
 from .evaluation import evaluate, gold_entity_surfaces, render_report
 from .model import D_FEATURE, D_TOKEN, HIDDEN_DIM, WINDOW, ModelMeta, init_params
-from .synthetic import tiny_instance
+from .synthetic import tiny_instance, to_conll
 from .training import (
     GRADCHECK_TOL,
     ModelIOError,
@@ -202,14 +202,14 @@ def cmd_train(args) -> int:
             for other in (k for k, setting in SETTINGS.items() if setting.convert is _path):
                 if other != key and v[other] and os.path.realpath(v[other]) == here:
                     raise CliError(f"{key} and {other} name the same file: {v[key]}")
-        train_raw = _load_labeled(v["train"], scheme, "training")
-        if not train_raw:
+        train_set = _load_labeled(v["train"], scheme, "training")
+        if not train_set:
             raise CliError(f"training file {v['train']} must contain labeled sentences")
-        dev_raw = _load_labeled(v["dev"], scheme, "dev") if v["dev"] else []
-        test_raw = _load_labeled(v["test"], scheme, "test") if v["test"] else []
+        dev_set = _load_labeled(v["dev"], scheme, "dev") if v["dev"] else []
+        test_set = _load_labeled(v["test"], scheme, "test") if v["test"] else []
         seg_map = _seg_map(v["segmented-text"])
         meta = ModelMeta.from_corpus(
-            train_raw, seg_map, scheme=scheme, mode=v["mode"], bigrams=v["bigrams"],
+            train_set, seg_map, scheme=scheme, mode=v["mode"], bigrams=v["bigrams"],
             window=v["window"], d_token=D_TOKEN, d_feature=D_FEATURE, hidden_dim=HIDDEN_DIM)
     rng = np.random.default_rng(tc.seed)
     token_table = None
@@ -218,9 +218,7 @@ def cmd_train(args) -> int:
         token_table = load_pretrained(text, meta.token_vocab, meta.d_token, rng)
     params = init_params(meta, rng, token_table)
 
-    train_set = meta.encode(train_raw, seg_map)
-    dev_set = meta.encode(dev_raw, seg_map)
-    test_set = meta.encode(test_raw, seg_map)
+    train_set, dev_set, test_set = (meta.encode(s, seg_map) for s in (train_set, dev_set, test_set))
     if sweep:
         return _beta_sweep(sweep, params, train_set, dev_set)
 
@@ -233,9 +231,9 @@ def cmd_train(args) -> int:
     if dev_set:
         print(render_report(evaluate(dev_set, predict_all(dev_set, best), scheme)))
     if v["test"]:
-        surfaces = gold_entity_surfaces(train_raw, scheme)
+        surfaces = gold_entity_surfaces(train_set, scheme)
         print("test set:")
-        print(render_report(evaluate(test_raw, predict_all(test_set, best), scheme, surfaces)))
+        print(render_report(evaluate(test_set, predict_all(test_set, best), scheme, surfaces)))
     print(f"model written to {model_out}")
     return 0
 
@@ -252,15 +250,12 @@ def _beta_sweep(configs: list[TrainConfig], params, train_set, dev_set) -> int:
 
 def cmd_predict(args) -> int:
     params = load_model(args.model)
-    raw, _ = parse_conll(_read(args.input, "input"), params.meta.scheme)
-    encoded = params.meta.encode(raw, _seg_map(args.segmented_text))
-    scheme = params.meta.scheme
-    blocks = [
-        "\n".join(f"{tok}\t{scheme.name(lab)}" for tok, lab in zip(sent.tokens, labels))
-        for sent, labels in zip(raw, predict_all(encoded, params))
-    ]
-    if blocks:
-        sys.stdout.write("\n\n".join(blocks) + "\n")
+    sentences, _ = parse_conll(_read(args.input, "input"), params.meta.scheme)
+    sentences = params.meta.encode(sentences, _seg_map(args.segmented_text))
+    predicted = [replace(sent, gold_labels=labels)
+                 for sent, labels in zip(sentences, predict_all(sentences, params))]
+    if predicted:
+        sys.stdout.write(to_conll(predicted, params.meta.scheme))
     return 0
 
 
@@ -268,14 +263,13 @@ def cmd_eval(args) -> int:
     params = load_model(args.model)
     scheme = params.meta.scheme
     gold = _load_labeled(args.gold, scheme, "gold")
-    encoded = params.meta.encode(gold, _seg_map(args.segmented_text))
-    preds = predict_all(encoded, params)
     train_surfaces = None
     if args.train_gold:
-        train_surfaces = gold_entity_surfaces(
-            _load_labeled(args.train_gold, scheme, "training gold"), scheme
-        )
-    print(render_report(evaluate(gold, preds, scheme, train_surfaces), tsv=args.tsv))
+        train_gold = _load_labeled(args.train_gold, scheme, "training gold")
+        train_surfaces = gold_entity_surfaces(train_gold, scheme)
+    gold = params.meta.encode(gold, _seg_map(args.segmented_text))
+    report = evaluate(gold, predict_all(gold, params), scheme, train_surfaces)
+    print(render_report(report, tsv=args.tsv))
     return 0
 
 
@@ -323,14 +317,14 @@ def main(argv=None) -> int:
     p_pred = sub.add_parser("predict", help="label a corpus with a trained model")
     p_pred.add_argument("model")
     p_pred.add_argument("input")
-    p_pred.add_argument("--segmented-text", dest="segmented_text")
+    _add_flags(p_pred, ["segmented-text"])
 
     p_eval = sub.add_parser("eval", help="score predictions against gold labels")
     p_eval.add_argument("model")
     p_eval.add_argument("gold")
     p_eval.add_argument("--train-gold", dest="train_gold",
                         help="training gold file for OOV recall")
-    p_eval.add_argument("--segmented-text", dest="segmented_text")
+    _add_flags(p_eval, ["segmented-text"])
     p_eval.add_argument("--tsv", action="store_true", help="machine-readable output")
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")

@@ -118,9 +118,8 @@ class TagScheme:
 class Sentence:
     """One input sentence; sentences compare by identity, not by value.
 
-    ``tokens`` are surface strings, either raw characters or positional
-    characters depending on the chosen representation; ``gold_labels`` is a
-    list of label indices. :func:`encode_corpus` sets the integer arrays
+    ``tokens`` are the text as read, one string per position; ``gold_labels`` is a
+    list of label indices. :func:`encode_corpus` adds the integer arrays
     ``token_ids`` (n,) and ``features`` (n, n_slots), one id per slot.
     """
 
@@ -359,8 +358,8 @@ def slot_kinds(mode: str, bigrams: bool) -> list[str]:
 
 
 def represent(sentence: Sentence, seg_tags: list[str], mode: str, bigrams: bool):
-    """Surface tokens and, per slot of :func:`slot_kinds` in order, one column
-    holding that slot's feature string at each position of one sentence."""
+    """Token keys (the characters, or ``char#tag`` when positional) and, per
+    slot of :func:`slot_kinds` in order, a column of that slot's strings."""
     raw = sentence.tokens
     if len(seg_tags) != len(raw):
         raise ValueError("segmentation tag count does not match token count")
@@ -386,8 +385,8 @@ def encode_corpus(
     token_vocab: Vocab,
     vocabs: dict[str, Vocab],
 ) -> list[Sentence]:
-    """Copies of the sentences carrying surface tokens and the integer arrays
-    of :class:`Sentence`: token ids, and feature ids mapped a slot at a time."""
+    """Copies of the sentences, tokens as given, with the integer arrays of
+    :class:`Sentence`: ids of :func:`represent`'s token keys and features."""
     lookups = [vocabs[kind].index for kind in slot_kinds(mode, bigrams)]
     out = []
     for sent in sentences:
@@ -395,7 +394,7 @@ def encode_corpus(
         features = np.empty((len(surface), len(lookups)), dtype=np.intp)
         for s, (index, column) in enumerate(zip(lookups, columns)):
             features[:, s] = list(map(index, column))
-        out.append(replace(sent, tokens=surface, features=features,
+        out.append(replace(sent, features=features,
                            token_ids=np.fromiter(map(token_vocab.index, surface), np.intp)))
     return out
 
@@ -406,7 +405,7 @@ def vocab_sources(
     mode: str,
     bigrams: bool,
 ) -> tuple[list[str], list[str]]:
-    """All surface tokens and bigram strings a corpus produces, for vocab
+    """All token keys and bigram strings a corpus produces, for vocab
     building: the bigrams position after position, each in template order."""
     token_strings: list[str] = []
     bigram_strings: list[str] = []

@@ -62,17 +62,16 @@ class ModelMeta:
     def from_corpus(cls, sentences: list[Sentence], seg_map, *, scheme: TagScheme, mode: str,
                     bigrams: bool, window: int, d_token: int, d_feature: int,
                     hidden_dim: int) -> "ModelMeta":
-        """Metadata whose vocabularies hold every surface token of the raw
-        ``sentences`` and, with bigrams on, every bigram, in first-occurrence
-        order."""
+        """Metadata whose vocabularies hold every token key of ``sentences``
+        and, with bigrams on, every bigram, in first-occurrence order."""
         tokens, bigram_strings = vocab_sources(sentences, seg_map, mode, bigrams)
         return cls(scheme, mode, bigrams, window, d_token, d_feature, hidden_dim,
                    tuple(build_vocab(tokens).itos),
                    tuple(build_vocab(bigram_strings).itos) if bigrams else ())
 
     def encode(self, sentences: list[Sentence], seg_map) -> list[Sentence]:
-        """Raw sentences as this model's input: surface tokens, token ids and
-        feature ids from its own mode, bigrams and vocabularies."""
+        """The sentences as this model's input: their tokens kept, token ids
+        and feature ids from its own mode, bigrams and vocabularies."""
         return encode_corpus(sentences, seg_map, self.mode, self.bigrams, self.token_vocab,
                              self.feature_vocabs())
 

@@ -76,8 +76,8 @@ def beam_topk(em: EmissionMatrix, trans: np.ndarray, k: int) -> list[ScoredSeque
     score order, ties toward the lexicographically smaller label sequence.
     The beam is held in lexicographic order, so one stable sort of the
     flattened (beam x label) scores per position breaks ties that way too.
-    Scores add up in sentence_score's order; bit-identity with it (and with
-    the earlier tuple beam) holds for finite scores only.
+    Scores add up in sentence_score's order; bit-identity with it holds for
+    finite scores only.
     """
     n, n_labels = em.n, em.n_labels
     check_transitions(trans, n_labels)

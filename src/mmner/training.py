@@ -205,21 +205,24 @@ def sgd_step(
     tensors absent from the gradient dict update with g = 0. The
     embedding tables decay lazily through their scale and write only the
     gradient's rows; dense tensors decay in place. Consumes ``grads``.
-    A gradient it cannot apply (no such tensor, not a RowGrad, misshapen) is a ValueError.
+    A gradient it cannot apply (no such tensor, wrong type, misshapen) is a
+    ValueError, raised before any tensor changes.
     """
     grads = grads or {}
     dense = params.dense_tensors()
     if unknown := grads.keys() - {*params.tables, *dense}:
         raise ValueError(f"gradient for unknown tensor(s): {', '.join(sorted(unknown))}")
+    for name, g in grads.items():
+        sparse = name in params.tables
+        if not isinstance(g, (RowGrad if sparse else np.ndarray) | None):
+            want = "a RowGrad" if sparse else "an array"
+            raise ValueError(f"gradient for {name} must be {want}, got {type(g).__name__}")
+        if not sparse and g is not None and g.shape != (shape := dense[name].shape):
+            raise ValueError(f"gradient shape mismatch for {name}: {g.shape} vs {shape}")
     for name, table in params.tables.items():
-        g = grads.get(name)
-        if g is not None and not isinstance(g, RowGrad):
-            raise ValueError(f"gradient for {name} must be a RowGrad, got {type(g).__name__}")
-        table.sgd_update(g, lr, l2_lambda)
+        table.sgd_update(grads.get(name), lr, l2_lambda)
     for name, arr in dense.items():
         g = grads.get(name)
-        if g is not None and g.shape != arr.shape:
-            raise ValueError(f"gradient shape mismatch for {name}: {g.shape} vs {arr.shape}")
         if l2_lambda:
             arr *= 1.0 - lr * l2_lambda
         if g is not None:
@@ -342,7 +345,7 @@ def save_model(params: ModelParams, path: str) -> None:
     meta_blob = _meta_to_json(params.meta)
     tensors = params.named_tensors()
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
-    fh = open(tmp, "xb")  # exclusive: a clash fails the save; 0666 less the umask, as before
+    fh = open(tmp, "xb")  # exclusive: a clash fails the save; 0666 less the umask
     try:
         with fh:
             fh.write(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(meta_blob)) + meta_blob

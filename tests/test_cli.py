@@ -285,6 +285,26 @@ class TestTrain:
         params = load_model(str(model))
         assert params.meta.mode == "segfeat"
 
+    @pytest.mark.parametrize("trigger", ["integrated", "fscore"])
+    def test_runs_under_different_hash_seeds_write_the_same_bytes(self, tmp_path, corpus_files,
+                                                                 trigger):
+        # string hashing orders sets and dicts of strings differently in each
+        # process; nothing a run writes may depend on that order
+        runs = []
+        for hash_seed in ("0", "1", "2"):
+            work = tmp_path / hash_seed
+            work.mkdir()
+            cfg = write_config(
+                work / "train.cfg", train=str(corpus_files / "train.conll"),
+                dev=str(corpus_files / "dev.conll"), test=str(corpus_files / "dev.conll"),
+                model_out="model.bin", mode="segfeat", bigrams="on", trigger=trigger,
+                segmented_text=str(corpus_files / "seg.txt"))
+            done = run_cli("train", "--config", str(cfg), cwd=work, PYTHONHASHSEED=hash_seed)
+            assert done.returncode == 0, done.stderr
+            runs.append(((work / "model.bin").read_bytes(),
+                         (work / "model.bin.log").read_text("utf-8"), done.stdout))
+        assert runs[0] == runs[1] == runs[2]
+
 
 def with_metadata(blob, patch):
     """The model file ``blob`` with its metadata JSON updated by ``patch``: a
@@ -311,10 +331,10 @@ def repeat_entry(itos):
     itos[-1] = itos[2]
 
 
-def run_cli(*argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(mmner.__file__).resolve().parents[1]))
+def run_cli(*argv, cwd=None, **env):
+    env = dict(os.environ, PYTHONPATH=str(Path(mmner.__file__).resolve().parents[1]), **env)
     return subprocess.run([sys.executable, "-m", "mmner.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
 
 
 class TestPredict:
@@ -489,6 +509,20 @@ class TestEval:
         assert main(["eval", str(model), str(corpus_files / "dev.conll"), "--tsv"]) == 0
         rows = [line.split("\t") for line in capsys.readouterr().out.strip().splitlines()]
         assert rows[-1][1] == "-"
+
+    def test_missing_train_gold_exits_2_before_predicting(self, tmp_path, corpus_files, capsys,
+                                                         monkeypatch):
+        code, model = train_once(tmp_path, corpus_files)
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr("mmner.cli.predict_all", lambda *args: calls.append(args))
+        missing = tmp_path / "missing.conll"
+        argv = ["eval", str(model), str(corpus_files / "dev.conll"), "--train-gold", str(missing)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: training gold file not found: {missing}\n"
+        assert calls == []
 
     def test_unlabeled_train_gold_exits_2(self, tmp_path, corpus_files, capsys):
         code, model = train_once(tmp_path, corpus_files)

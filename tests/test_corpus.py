@@ -393,10 +393,12 @@ class TestRepresent:
         encoded = encode_corpus(sentences, None, mode, bigrams, token_vocab, vocabs)
         for sent, enc in zip(sentences, encoded):
             n = len(sent)
+            keys, _ = represent(sent, ["S"] * n, mode, bigrams)
             assert enc.token_ids.dtype == enc.features.dtype == np.intp
             assert enc.token_ids.shape == (n,)
             assert enc.features.shape == (n, n_slots)
-            assert enc.token_ids.tolist() == [token_vocab.index(t) for t in enc.tokens]
+            assert enc.token_ids.tolist() == [token_vocab.index(k) for k in keys]
+            assert enc.tokens == sent.tokens  # the text, not the keys
             assert type(enc.gold_labels) is list and enc.gold_labels == sent.gold_labels
 
     def test_encoded_sentences_compare_by_identity(self):

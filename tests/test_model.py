@@ -8,7 +8,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mmner.corpus import build_vocab, encode_corpus, load_segmentation, slot_kinds, vocab_sources
+from mmner.corpus import (build_vocab, encode_corpus, load_segmentation, represent, slot_kinds,
+                          vocab_sources)
 from mmner.embeddings import random_table
 from mmner.model import ModelMeta, ModelParams, init_params
 from mmner.synthetic import synthetic_corpus, tiny_instance
@@ -66,13 +67,32 @@ def test_vocabularies_keep_first_occurrence_order():
 
 def test_encode_maps_unseen_tokens_to_unknown():
     corpus = synthetic_corpus(n_sentences=5, seed=3)
-    meta = ModelMeta.from_corpus(corpus.sentences[:1], None, scheme=corpus.scheme,
+    meta = ModelMeta.from_corpus(corpus.sentences[:2], None, scheme=corpus.scheme,
                                  mode="positional", bigrams=False, **SIZES)
-    (encoded,) = meta.encode(corpus.sentences[1:2], None)
+    sent = corpus.sentences[4]
+    (encoded,) = meta.encode([sent], None)
+    keys, _ = represent(sent, ["S"] * len(sent), "positional", False)
     seen = set(meta.token_itos)
-    assert encoded.token_ids.tolist() == [meta.token_vocab.index(t) if t in seen else 0
-                                          for t in encoded.tokens]
-    assert encoded.features.shape == (len(encoded.tokens), 0)
+    assert 0 < sum(key in seen for key in keys) < len(keys)  # both cases occur
+    assert encoded.token_ids.tolist() == [meta.token_vocab.index(k) if k in seen else 0
+                                          for k in keys]
+    assert encoded.tokens == sent.tokens
+    assert encoded.features.shape == (len(sent), 0)
+
+
+@pytest.mark.parametrize("bigrams", [True, False], ids=["bigrams", "no-bigrams"])
+@pytest.mark.parametrize("mode", ["positional", "segfeat"])
+def test_encoding_keeps_the_text_so_encoding_again_changes_nothing(mode, bigrams):
+    corpus = synthetic_corpus(n_sentences=6, seed=3)
+    seg_map = load_segmentation(corpus.seg_lines)
+    meta = ModelMeta.from_corpus(corpus.sentences, seg_map, scheme=corpus.scheme, mode=mode,
+                                 bigrams=bigrams, **SIZES)
+    once = meta.encode(corpus.sentences, seg_map)
+    twice = meta.encode(once, seg_map)
+    for sent, a, b in zip(corpus.sentences, once, twice):
+        assert a.tokens == b.tokens == sent.tokens
+        assert np.array_equal(a.token_ids, b.token_ids) and 0 not in a.token_ids
+        assert np.array_equal(a.features, b.features)
 
 
 def test_unknown_mode_is_a_value_error():

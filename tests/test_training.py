@@ -247,6 +247,11 @@ class TestSgdStep:
     @pytest.mark.parametrize("name, grad, says", [
         ("lstm_fw_w", np.zeros(3), "gradient for unknown tensor(s): lstm_fw_w"),
         ("emb_token", np.zeros((4, 2)), "gradient for emb_token must be a RowGrad, got ndarray"),
+        # tensors updated after others: rejected before anything changes
+        ("emb_bigram", np.zeros((4, 2)), "gradient for emb_bigram must be a RowGrad, got ndarray"),
+        ("proj_b", np.zeros(99), "gradient shape mismatch for proj_b: (99,) vs (3,)"),
+        ("proj_b", RowGrad(np.array([0]), np.zeros((1, 3))),
+         "gradient for proj_b must be an array, got RowGrad"),
     ])
     def test_a_gradient_it_cannot_apply_raises_and_changes_nothing(self, name, grad, says):
         params, _ = tiny_instance(7)
