@@ -165,11 +165,12 @@ def _read(path: str, what: str) -> str:
         raise CliError(f"{what} file {path} is not UTF-8: {exc}") from None
 
 
-def _load_labeled(path: str, scheme: TagScheme, what: str) -> list[Sentence]:
+def _load(path: str, what: str, scheme: TagScheme | None = None) -> list[Sentence]:
+    """A corpus file's sentences; with a scheme, its labeled ones (at least one)."""
     sentences, repairs = parse_conll(_read(path, what), scheme)
     if repairs:
         print(f"note: repaired {repairs} invalid BIO label(s) in {path}", file=sys.stderr)
-    if any(s.gold_labels is None for s in sentences):
+    if scheme is not None and (not sentences or sentences[0].gold_labels is None):
         raise CliError(f"{what} file {path} must contain labeled sentences")
     return sentences
 
@@ -202,11 +203,9 @@ def cmd_train(args) -> int:
             for other in (k for k, setting in SETTINGS.items() if setting.convert is _path):
                 if other != key and v[other] and os.path.realpath(v[other]) == here:
                     raise CliError(f"{key} and {other} name the same file: {v[key]}")
-        train_set = _load_labeled(v["train"], scheme, "training")
-        if not train_set:
-            raise CliError(f"training file {v['train']} must contain labeled sentences")
-        dev_set = _load_labeled(v["dev"], scheme, "dev") if v["dev"] else []
-        test_set = _load_labeled(v["test"], scheme, "test") if v["test"] else []
+        train_set = _load(v["train"], "training", scheme)
+        dev_set = _load(v["dev"], "dev", scheme) if v["dev"] else []
+        test_set = _load(v["test"], "test", scheme) if v["test"] and not sweep else []
         seg_map = _seg_map(v["segmented-text"])
         meta = ModelMeta.from_corpus(
             train_set, seg_map, scheme=scheme, mode=v["mode"], bigrams=v["bigrams"],
@@ -250,8 +249,7 @@ def _beta_sweep(configs: list[TrainConfig], params, train_set, dev_set) -> int:
 
 def cmd_predict(args) -> int:
     params = load_model(args.model)
-    sentences, _ = parse_conll(_read(args.input, "input"), params.meta.scheme)
-    sentences = params.meta.encode(sentences, _seg_map(args.segmented_text))
+    sentences = params.meta.encode(_load(args.input, "input"), _seg_map(args.segmented_text))
     predicted = [replace(sent, gold_labels=labels)
                  for sent, labels in zip(sentences, predict_all(sentences, params))]
     if predicted:
@@ -262,10 +260,10 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     params = load_model(args.model)
     scheme = params.meta.scheme
-    gold = _load_labeled(args.gold, scheme, "gold")
+    gold = _load(args.gold, "gold", scheme)
     train_surfaces = None
     if args.train_gold:
-        train_gold = _load_labeled(args.train_gold, scheme, "training gold")
+        train_gold = _load(args.train_gold, "training gold", scheme)
         train_surfaces = gold_entity_surfaces(train_gold, scheme)
     gold = params.meta.encode(gold, _seg_map(args.segmented_text))
     report = evaluate(gold, predict_all(gold, params), scheme, train_surfaces)
@@ -311,15 +309,18 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model from a config file")
+    p_train.set_defaults(run=cmd_train)
     p_train.add_argument("--config", help="flat key = value configuration file")
     _add_flags(p_train, [key for key, setting in SETTINGS.items() if setting.flag])
 
     p_pred = sub.add_parser("predict", help="label a corpus with a trained model")
+    p_pred.set_defaults(run=cmd_predict)
     p_pred.add_argument("model")
     p_pred.add_argument("input")
     _add_flags(p_pred, ["segmented-text"])
 
     p_eval = sub.add_parser("eval", help="score predictions against gold labels")
+    p_eval.set_defaults(run=cmd_eval)
     p_eval.add_argument("model")
     p_eval.add_argument("gold")
     p_eval.add_argument("--train-gold", dest="train_gold",
@@ -328,18 +329,13 @@ def main(argv=None) -> int:
     p_eval.add_argument("--tsv", action="store_true", help="machine-readable output")
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")
+    p_gc.set_defaults(run=cmd_gradcheck)
     _add_flags(p_gc, GRADCHECK_KEYS)
     p_gc.add_argument("--corrupt", help="tensor name whose analytic gradient is sabotaged")
 
     args = parser.parse_args(argv)
-    handlers = {
-        "train": cmd_train,
-        "predict": cmd_predict,
-        "eval": cmd_eval,
-        "gradcheck": cmd_gradcheck,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (CliError, CorpusError, EmbeddingFormatError, ModelIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -201,14 +201,15 @@ def labels_from_entities(spans: list[EntitySpan], length: int, scheme: TagScheme
     return labels
 
 
-def parse_conll(text: str, scheme: TagScheme) -> tuple[list[Sentence], int]:
+def parse_conll(text: str, scheme: TagScheme | None) -> tuple[list[Sentence], int]:
     """Parse CoNLL-style "<token>TAB<label>" lines into sentences.
 
     Blank lines (nothing but spaces and tabs) separate sentences. The label
     column may be omitted throughout the input (unlabeled mode), but labeled
     and unlabeled lines cannot be mixed. Invalid BIO in labeled input is repaired with
     :func:`repair_bio`; the total number of repairs comes back as the second
-    element.
+    element. With ``scheme=None`` the label column is not read: every sentence
+    comes back unlabeled, with 0 repairs, under the same column and token rules.
     """
     sentences: list[Sentence] = []
     warnings = 0
@@ -220,7 +221,7 @@ def parse_conll(text: str, scheme: TagScheme) -> tuple[list[Sentence], int]:
         nonlocal tokens, labels, warnings
         if not tokens:
             return
-        if n_columns == 2:
+        if labels:
             repaired, changes = repair_bio(labels, scheme)
             warnings += changes
             sentences.append(Sentence(tokens, repaired))
@@ -244,7 +245,7 @@ def parse_conll(text: str, scheme: TagScheme) -> tuple[list[Sentence], int]:
         if not columns[0]:
             raise CorpusError(f"line {lineno}: empty token")
         tokens.append(columns[0])
-        if n_columns == 2:
+        if n_columns == 2 and scheme is not None:
             try:
                 labels.append(scheme.index(columns[1]))
             except CorpusError:

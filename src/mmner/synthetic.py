@@ -17,7 +17,7 @@ from .corpus import (
     MODE_POSITIONAL,
     Sentence,
     TagScheme,
-    positional_tags,
+    load_segmentation,
     repair_bio,
 )
 from .model import ModelMeta, ModelParams, init_params
@@ -103,7 +103,7 @@ def tiny_instance(
         take = min(int(rng.integers(1, 4)), left)
         words.append("".join(raw[n_tokens - left:n_tokens - left + take]))
         left -= take
-    seg_map = {"".join(raw): tuple(tag for word in words for tag in positional_tags(word))}
+    seg_map = load_segmentation([" ".join(words)])
     meta = ModelMeta.from_corpus(
         [sent], seg_map, scheme=scheme, mode=mode, bigrams=bigrams, window=TINY_WINDOW,
         d_token=TINY_D_TOKEN, d_feature=TINY_D_FEATURE, hidden_dim=TINY_HIDDEN)

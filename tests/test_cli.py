@@ -372,6 +372,22 @@ class TestPredict:
         assert main(["predict", str(model), str(empty)]) == 0
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("label", ["B-FOO.NAM", ""])
+    def test_reads_only_the_token_column(self, tmp_path, corpus_files, capsys, label):
+        # labels the model does not know, or none after the tab, are not read
+        code, model = train_once(tmp_path, corpus_files)
+        lines = (corpus_files / "dev.conll").read_text("utf-8").split("\n")
+        tokens = [line.split("\t")[0] for line in lines]
+        labeled, raw = tmp_path / "labeled.conll", tmp_path / "raw.conll"
+        labeled.write_text("\n".join(t and f"{t}\t{label}" for t in tokens), "utf-8")
+        raw.write_text("\n".join(tokens), "utf-8")
+        capsys.readouterr()
+        assert main(["predict", str(model), str(raw)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["predict", str(model), str(labeled)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain and plain and captured.err == ""
+
     def test_corrupt_model(self, tmp_path, corpus_files, capsys):
         code, model = train_once(tmp_path, corpus_files)
         blob = bytearray(model.read_bytes())
@@ -538,6 +554,18 @@ class TestEval:
                                 "must contain labeled sentences\n")
 
 
+    @pytest.mark.parametrize("what", ["gold", "training gold"])
+    def test_empty_labeled_file_exits_2(self, tmp_path, corpus_files, capsys, what):
+        code, model = train_once(tmp_path, corpus_files)
+        capsys.readouterr()
+        dev = str(corpus_files / "dev.conll")
+        files = [os.devnull] if what == "gold" else [dev, "--train-gold", os.devnull]
+        assert main(["eval", str(model), *files]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {what} file {os.devnull} must contain labeled sentences\n"
+
+
 class TestBetaSweep:
     def test_table(self, tmp_path, corpus_files, capsys):
         model = tmp_path / "sweep.bin"
@@ -581,6 +609,14 @@ class TestBetaSweep:
                            trigger="integrated", model_out=str(train), metrics_out=str(train))
         assert main(["train", "--config", str(cfg), "--beta-sweep", "0.5"]) == 0
         assert train.read_bytes() == (corpus_files / "train.conll").read_bytes()
+
+    def test_test_file_is_not_read(self, tmp_path, corpus_files, capsys):
+        cfg = write_config(tmp_path / "t.cfg", train=str(corpus_files / "train.conll"),
+                           epochs="1", trigger="integrated", test=str(tmp_path / "nosuch.conll"))
+        assert main(["train", "--config", str(cfg), "--beta-sweep", "0.5"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "beta\toverall_f1"
+        assert [line.split("\t")[0] for line in lines[1:]] == ["0.5"]
 
     def test_bad_list(self, tmp_path, corpus_files, capsys):
         model = tmp_path / "s.bin"
@@ -627,6 +663,8 @@ class TestBadSettings:
         (["gradcheck", "--corrupt", "nosuch"], None, "proj_b"),
         (["train"], {"beta_sweep": ","}, "setting 'beta-sweep': empty list"),
         (["train"], {"train": os.devnull}, "must contain labeled sentences"),
+        (["train"], {"dev": os.devnull}, f"dev file {os.devnull} must contain labeled sentences"),
+        (["train"], {"test": os.devnull}, f"test file {os.devnull} must contain labeled sentences"),
     ])
     def test_exits_2_with_an_error_line(self, tmp_path, corpus_files, capsys, argv, config, says):
         if config is not None:

@@ -230,6 +230,21 @@ class TestParseConll:
         with pytest.raises(CorpusError, match="line 1"):
             parse_conll("\tO\n", SCHEME)
 
+    def test_no_scheme_does_not_read_labels(self):
+        # unknown, orphan-inside and empty labels alike: the column is not read
+        sentences, repairs = parse_conll("a\tB-FOO.NAM\nb\tI-PER.NAM\n\nc\t\n", None)
+        assert repairs == 0
+        assert [s.tokens for s in sentences] == [["a", "b"], ["c"]]
+        assert all(s.gold_labels is None for s in sentences)
+
+    @pytest.mark.parametrize("text, says", [
+        ("a\tO\nb\n", "line 2: expected 2 column"),
+        ("a\tO\n\tO\n", "line 2: empty token"),
+    ])
+    def test_no_scheme_keeps_the_column_and_token_rules(self, text, says):
+        with pytest.raises(CorpusError, match=says):
+            parse_conll(text, None)
+
     def test_trailing_blank_lines(self):
         sentences, _ = parse_conll("a\tO\n\n\n", SCHEME)
         assert len(sentences) == 1
