@@ -25,10 +25,21 @@ class EmbeddingFormatError(Exception):
 
 class RowGrad(NamedTuple):
     """Sparse gradient of an embedding table: summed ``values`` (k, dim) for
-    the unique, ascending row ids ``rows`` (k,); every other row is zero."""
+    the unique, ascending row ids ``rows`` (k,); every other row is zero.
+    ``sgd_step`` writes nothing unless each one :meth:`fits` its table (a
+    repeated row would drop updates, a negative one write the last row)."""
 
     rows: np.ndarray
     values: np.ndarray
+
+    def fits(self, size: int, dim: int) -> bool:
+        """1-D integer rows strictly ascending in [0, size), float values (len(rows), dim)."""
+        rows, values = self.rows, self.values
+        return (isinstance(rows, np.ndarray) and isinstance(values, np.ndarray)
+                and rows.ndim == 1 and rows.dtype.kind in "iu" and values.dtype.kind == "f"
+                and values.shape == (len(rows), dim)
+                and (not len(rows) or (rows[0] >= 0 and rows[-1] < size))
+                and bool(np.all(rows[1:] > rows[:-1])))
 
     @property
     def nbytes(self) -> int:

@@ -6,7 +6,9 @@ A label sequence l_1..l_n over emissions y scores
 
 where A is a ((|Y|+1) x |Y|) transition score matrix whose last row is the
 distinguished start row (the predecessor of position 1). There is no end
-transition. All functions here are pure.
+transition. Every function here adds the terms A[l_{t-1}, l_t] + log y_t[l_t]
+left to right from 0.0. Rounding is monotone, so Viterbi's DP is the exact
+argmax in floating point, not only in exact arithmetic. All functions are pure.
 """
 
 from __future__ import annotations
@@ -34,50 +36,46 @@ class ScoredSequence:
 
 
 def sentence_score(em: EmissionMatrix, trans: np.ndarray, labels) -> float:
-    """Score one label sequence; pure, exact order of accumulation."""
+    """Score one label sequence by the module's rule; 0.0 for no labels."""
     n, n_labels = em.n, em.n_labels
     check_transitions(trans, n_labels)
     if len(labels) != n:
         raise ValueError(f"expected {n} labels, got {len(labels)}")
-    total = 0.0
-    prev = n_labels
-    for t, lab in enumerate(labels):
-        total += float(trans[prev, lab] + em.log_probs[t, lab])
-        prev = lab
-    return total
+    path = np.array([n_labels, *labels])  # non-integer labels fail to index
+    terms = trans[path[:-1], path[1:]] + em.log_probs[np.arange(n), path[1:]]
+    return float(np.add.accumulate(np.append(0.0, terms))[-1])
 
 
 def viterbi(em: EmissionMatrix, trans: np.ndarray) -> ScoredSequence:
-    """Exact argmax decode; ties break toward the lower label index."""
+    """Exact argmax of sentence_score; ties break toward the lower label index.
+    The score is the DP's value, the winner's sentence_score bit for bit."""
     n, n_labels = em.n, em.n_labels
     check_transitions(trans, n_labels)
     if n < 1:
         raise ValueError("empty emission matrix")
-    delta = trans[n_labels] + em.log_probs[0]
+    steps = trans[:n_labels] + em.log_probs[1:, None, :]  # (t, prev, next)
+    delta = 0.0 + (trans[n_labels] + em.log_probs[0])  # from 0.0: -0.0 sums to 0.0
     back = np.empty((n, n_labels), dtype=np.intp)
     for t in range(1, n):
-        cand = delta[:, None] + trans[:n_labels]  # (prev, next)
+        cand = delta[:, None] + steps[t - 1]
         cand.argmax(axis=0, out=back[t])  # first max <=> lowest index
-        delta = cand.max(axis=0) + em.log_probs[t]
-    last = int(delta.argmax())
-    labels = [0] * n
-    labels[-1] = last
+        delta = cand.max(axis=0)
+    labels = [0] * (n - 1) + [int(delta.argmax())]
     for t in range(n - 1, 0, -1):
         labels[t - 1] = int(back[t, labels[t]])
-    return ScoredSequence(labels, sentence_score(em, trans, labels))
+    return ScoredSequence(labels, float(delta[labels[-1]]))
 
 
 def beam_topk(em: EmissionMatrix, trans: np.ndarray, k: int) -> list[ScoredSequence]:
     """Up to k distinct sequences by per-position beam expansion.
 
     Prefix scores are exact, so with a beam wide enough to hold everything
-    the result is the full enumeration. The first element is always the
-    Viterbi sequence (exact top-1, hoisted); the rest come in non-increasing
-    score order, ties toward the lexicographically smaller label sequence.
-    The beam is held in lexicographic order, so one stable sort of the
-    flattened (beam x label) scores per position breaks ties that way too.
-    Scores add up in sentence_score's order; bit-identity with it holds for
-    finite scores only.
+    the result is the full enumeration. Scores add up by sentence_score's
+    rule, so the hoisted Viterbi sequence, always first, holds the top score;
+    the rest come in non-increasing score order, ties toward the
+    lexicographically smaller label sequence. The beam is held in
+    lexicographic order, so one stable sort of the flattened (beam x label)
+    scores per position breaks ties that way too.
     """
     n, n_labels = em.n, em.n_labels
     check_transitions(trans, n_labels)
@@ -86,11 +84,11 @@ def beam_topk(em: EmissionMatrix, trans: np.ndarray, k: int) -> list[ScoredSeque
     if n < 1:
         raise ValueError("empty emission matrix")
 
-    prev, scores = np.array([n_labels]), None  # the empty prefix sits on the start row
+    prev, scores = np.array([n_labels]), np.zeros(1)  # the empty prefix, on the start row
     paths = np.empty((1, 0), dtype=np.intp)
     for t in range(n):
         step = trans[prev] + em.log_probs[t]  # (beam, label)
-        grown = (step if scores is None else scores[:, None] + step).ravel()
+        grown = (scores[:, None] + step).ravel()
         keep = np.sort(np.argsort(-grown, kind="stable")[:k])  # back to lexicographic
         parent, prev = np.divmod(keep, n_labels)
         paths, scores = np.column_stack((paths[parent], prev)), grown[keep]

@@ -9,9 +9,10 @@ The per-instance loss is
 For the Hamming trigger the inner max is exact: the per-position cost folds
 into the emission log-probabilities and Viterbi decodes the augmented
 problem. For the F-score triggers the max runs over a beam-search candidate
-set reranked by s + Delta. Either way q_i is non-negative without the gold
-sequence among the candidates: the plain Viterbi sequence always competes,
-and its s + Delta is at least s(gold) because Delta >= 0.
+set reranked by s + Delta. Either way q_i >= 0 holds in floating point, not
+only in exact arithmetic: Viterbi is the exact argmax of the sums
+sentence_score computes, gold's Hamming-folded score is its plain one, and
+the beam's Viterbi head has s >= s(gold) before a Delta >= 0 is added.
 """
 
 from __future__ import annotations
@@ -205,8 +206,9 @@ def sgd_step(
     tensors absent from the gradient dict update with g = 0. The
     embedding tables decay lazily through their scale and write only the
     gradient's rows; dense tensors decay in place. Consumes ``grads``.
-    A gradient it cannot apply (no such tensor, wrong type, misshapen) is a
-    ValueError, raised before any tensor changes.
+    A gradient it cannot apply (no such tensor, wrong type, misshapen, a
+    :class:`RowGrad` that does not fit its table) is a ValueError, raised
+    before any tensor changes.
     """
     grads = grads or {}
     dense = params.dense_tensors()
@@ -219,6 +221,9 @@ def sgd_step(
             raise ValueError(f"gradient for {name} must be {want}, got {type(g).__name__}")
         if not sparse and g is not None and g.shape != (shape := dense[name].shape):
             raise ValueError(f"gradient shape mismatch for {name}: {g.shape} vs {shape}")
+        if sparse and g is not None and not g.fits((t := params.tables[name]).size, t.dim):
+            raise ValueError(f"gradient for {name} must have strictly ascending integer rows "
+                             f"in [0, {t.size}) and float values of shape (rows, {t.dim})")
     for name, table in params.tables.items():
         table.sgd_update(grads.get(name), lr, l2_lambda)
     for name, arr in dense.items():

@@ -17,14 +17,17 @@ array per tensor name; both must draw the same numbers.
 reference_repair_bio, reference_entities_from_labels and
 reference_sentence_f1 are the two BIO walkers, and the F1 that chained
 them, that corpus.entity_spans replaced; they parse each label name as the
-scheme's split did then.
+scheme's split did then. loop_sentence_score is the per-position loop that
+the gathered, accumulated structured.sentence_score replaced.
+adversarial_instances draws decoding problems on which adding a path's
+terms in another order than sentence_score's picks a wrong argmax.
 """
 
 import itertools
 
 import numpy as np
 
-from mmner.corpus import BOUNDARY, EntitySpan
+from mmner.corpus import BOUNDARY, EntitySpan, TagScheme
 from mmner.embeddings import PAD_INDEX, random_table
 from mmner.evaluation import Counts
 from mmner.network import EmissionMatrix
@@ -51,6 +54,41 @@ def score_of(em, trans, labels):
         total += float(trans[prev, lab]) + float(em.log_probs[t, lab])
         prev = lab
     return total
+
+
+def loop_sentence_score(em, trans, labels):
+    n, n_labels = em.n, em.n_labels
+    if trans.shape != (n_labels + 1, n_labels):
+        raise ValueError("bad transition matrix")
+    if len(labels) != n:
+        raise ValueError(f"expected {n} labels, got {len(labels)}")
+    total = 0.0
+    prev = n_labels
+    for t, lab in enumerate(labels):
+        total += float(trans[prev, lab] + em.log_probs[t, lab])
+        prev = lab
+    return total
+
+
+ADVERSARIAL_SCHEME = TagScheme.from_entity_types((("PER", "NAM"),))
+
+
+def adversarial_instances(seed, count):
+    """(em, trans) pairs, n 2-4 over ADVERSARIAL_SCHEME's 3 labels.
+
+    Log-probs are N(0, 1) rounded to 1e-3 and transitions N(0, 1) rounded to
+    quarters, times 3e15, where doubles are 0.5 to 2 apart: whether a log-prob
+    is added to the transition or to the running sum decides how it rounds,
+    so about 0.75% of these problems have a different argmax under another
+    order.
+    """
+    rng = np.random.default_rng(seed)
+    n_labels = ADVERSARIAL_SCHEME.n_labels
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        log_probs = np.round(rng.normal(size=(n, n_labels)), 3)
+        trans = np.round(rng.normal(size=(n_labels + 1, n_labels)) * 4) / 4 * 3e15
+        yield EmissionMatrix(np.exp(log_probs), log_probs), trans
 
 
 def enumerate_all(em, trans):

@@ -6,7 +6,13 @@ import pytest
 from mmner.network import EmissionMatrix
 from mmner.structured import beam_topk, sentence_score, viterbi
 
-from oracles import enumerate_all, random_instance, reference_beam
+from oracles import (
+    adversarial_instances,
+    enumerate_all,
+    loop_sentence_score,
+    random_instance,
+    reference_beam,
+)
 
 
 def em_from_probs(rows):
@@ -48,6 +54,30 @@ class TestSentenceScore:
         with pytest.raises(ValueError):
             sentence_score(em, np.zeros((4, 3)), [0])
 
+    def test_equals_the_loop_bit_for_bit(self):
+        # empty sequences, signed zeros, -inf log-probs and terms 16 orders
+        # of magnitude apart; the sign of a zero total must match too
+        rng = np.random.default_rng(20)
+        for _ in range(600):
+            n, n_labels = int(rng.integers(0, 7)), int(rng.integers(1, 5))
+            log_probs = -np.abs(rng.normal(size=(n, n_labels))) * 10.0 ** rng.integers(0, 17)
+            trans = rng.normal(size=(n_labels + 1, n_labels)) * 10.0 ** rng.integers(0, 17)
+            for arr in (log_probs, trans):
+                zeros = rng.random(arr.shape) < 0.3
+                arr[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+            log_probs[rng.random(log_probs.shape) < 0.05] = -np.inf
+            em = EmissionMatrix(np.exp(log_probs), log_probs)
+            labels = rng.integers(0, n_labels, size=n).tolist()
+            got, want = sentence_score(em, trans, labels), loop_sentence_score(em, trans, labels)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("labels", [[3], [0, 3], [1.0, 0], [0, "a"]])
+    def test_bad_labels_raise_as_the_loop_does(self, labels):
+        em = em_from_probs([[0.2, 0.3, 0.5]] * len(labels))
+        for score in (sentence_score, loop_sentence_score):
+            with pytest.raises(IndexError):
+                score(em, np.zeros((4, 3)), labels)
+
 
 class TestViterbi:
     def test_single_label(self):
@@ -79,6 +109,14 @@ class TestViterbi:
         em, trans = random_instance(rng, 5, 4)
         out = viterbi(em, trans)
         assert out.score == sentence_score(em, trans, out.labels)
+
+    def test_exact_in_floating_point_on_adversarial_instances(self):
+        # the DP adds sentence_score's terms in its order: its value is the
+        # winner's score bit for bit, and no sequence scores higher
+        for em, trans in adversarial_instances(seed=0, count=2000):
+            got = viterbi(em, trans)
+            assert got.score.hex() == sentence_score(em, trans, got.labels).hex()
+            assert got.score == enumerate_all(em, trans)[0][0]
 
     def test_shift_invariance_of_argmax(self):
         rng = np.random.default_rng(8)
@@ -125,6 +163,11 @@ class TestBeamTopk:
         assert scores == sorted(scores, reverse=True)
         for seq in top:
             assert seq.score == sentence_score(em, trans, seq.labels)
+
+    def test_hoisted_head_holds_the_top_score_on_adversarial_instances(self):
+        for em, trans in adversarial_instances(seed=1, count=2000):
+            head, *rest = beam_topk(em, trans, 4)
+            assert all(seq.score <= head.score for seq in rest)
 
     def test_no_duplicates(self):
         rng = np.random.default_rng(12)

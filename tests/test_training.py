@@ -38,7 +38,7 @@ from mmner.training import (
 )
 from mmner.triggers import Trigger
 
-from oracles import augmented_argmax
+from oracles import ADVERSARIAL_SCHEME, adversarial_instances, augmented_argmax, enumerate_all
 from support import append_tensor, build_from_raw
 
 TRIGGERS = (Trigger("hamming"), Trigger("fscore"), Trigger("integrated"))
@@ -161,6 +161,16 @@ class TestInstanceLoss:
                     sentence_score(em, params.transitions, lbar.labels), abs=1e-12
                 )
 
+    def test_non_negative_in_floating_point_on_adversarial_instances(self):
+        # gold is the exact argmax of s, the case where a decoder that rounds
+        # its sums differently from sentence_score finds only worse sequences
+        for em, trans in adversarial_instances(seed=2, count=1500):
+            gold = list(enumerate_all(em, trans)[0][1])
+            plain = sentence_score(em, trans, gold)
+            for trigger in TRIGGERS:
+                _, aug = _augmented_best(gold, em, trans, trigger, ADVERSARIAL_SCHEME, beam_k=1)
+                assert aug >= plain, trigger.kind
+
     def test_positive_when_gold_loses(self):
         found_positive = False
         for seed in range(20):
@@ -218,6 +228,10 @@ class TestObjective:
             objective([], params, TrainConfig(Trigger("hamming"), epochs=1))
 
 
+BAD_TOKEN_ROWS = ("gradient for emb_token must have strictly ascending integer rows in [0, 4) "
+                  "and float values of shape (rows, 3)")
+
+
 class TestSgdStep:
     def test_pure_decay(self):
         params, _ = tiny_instance(4)
@@ -252,6 +266,17 @@ class TestSgdStep:
         ("proj_b", np.zeros(99), "gradient shape mismatch for proj_b: (99,) vs (3,)"),
         ("proj_b", RowGrad(np.array([0]), np.zeros((1, 3))),
          "gradient for proj_b must be an array, got RowGrad"),
+        # a RowGrad that does not fit its table: emb_token is 4 x 3, emb_bigram 10 x 2
+        ("emb_token", RowGrad(np.array([0, 1]), np.ones((2, 2))), BAD_TOKEN_ROWS),
+        ("emb_token", RowGrad(np.array([4]), np.ones((1, 3))), BAD_TOKEN_ROWS),
+        ("emb_token", RowGrad(np.array([2, 2]), np.ones((2, 3))), BAD_TOKEN_ROWS),
+        ("emb_token", RowGrad(np.array([-1]), np.ones((1, 3))), BAD_TOKEN_ROWS),
+        ("emb_token", RowGrad(np.array([2, 1]), np.ones((2, 3))), BAD_TOKEN_ROWS),
+        ("emb_token", RowGrad(np.array([1.0]), np.ones((1, 3))), BAD_TOKEN_ROWS),
+        ("emb_token", RowGrad(np.array([1]), np.ones((1, 3), dtype=int)), BAD_TOKEN_ROWS),
+        ("emb_bigram", RowGrad(np.array([[1]]), np.ones((1, 2))),
+         "gradient for emb_bigram must have strictly ascending integer rows in [0, 10) "
+         "and float values of shape (rows, 2)"),
     ])
     def test_a_gradient_it_cannot_apply_raises_and_changes_nothing(self, name, grad, says):
         params, _ = tiny_instance(7)
