@@ -5,7 +5,8 @@ segmentation features) plus bigram feature templates."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -317,10 +318,12 @@ class Vocab:
     stoi: dict[str, int]
 
     @classmethod
-    def from_itos(cls, itos: list[str]) -> "Vocab":
-        if itos[:2] != [UNK, PAD]:
-            raise ValueError("vocabulary must reserve index 0 for %s and 1 for %s" % (UNK, PAD))
-        return cls(list(itos), {s: i for i, s in enumerate(itos)})
+    def from_itos(cls, itos: Sequence[str]) -> "Vocab":
+        """The one vocabulary rule: ``itos`` starts with UNK, PAD and holds no duplicate."""
+        stoi = dict(zip(itos, range(len(itos))))
+        if list(itos[:2]) != [UNK, PAD] or len(stoi) != len(itos):
+            raise ValueError(f"a vocabulary must start with {UNK}, {PAD} and hold no duplicate")
+        return cls(list(itos), stoi)
 
     def index(self, s: str) -> int:
         return self.stoi.get(s, 0)
@@ -337,8 +340,7 @@ def build_vocab(tokens: Iterable[str]) -> Vocab:
 
     Indices follow first-occurrence order after the two reserved entries.
     """
-    fresh = (tok for tok in dict.fromkeys(tokens) if tok not in (UNK, PAD))
-    return Vocab.from_itos([UNK, PAD, *fresh])
+    return Vocab.from_itos(list(dict.fromkeys(chain((UNK, PAD), tokens))))
 
 
 SEG_VOCAB = Vocab.from_itos([UNK, PAD, *SEG_TAGS])

@@ -9,9 +9,7 @@ import numpy as np
 
 from .corpus import (
     MODES,
-    PAD,
     SEG_VOCAB,
-    UNK,
     Sentence,
     TagScheme,
     Vocab,
@@ -31,7 +29,11 @@ WINDOW = 5
 
 @dataclass(frozen=True)
 class ModelMeta:
-    """Everything needed to rebuild a model's shapes and vocabularies."""
+    """Everything needed to rebuild a model's shapes and vocabularies.
+
+    The itos tuples are the stored fields; ``token_vocab`` and
+    ``bigram_vocab`` (None without bigrams) are their vocabularies, each
+    built once, here, by :meth:`Vocab.from_itos`, which checks them."""
 
     scheme: TagScheme
     mode: str
@@ -53,10 +55,9 @@ class ModelMeta:
             raise ValueError(f"unknown representation mode {self.mode!r}")
         if self.bigrams != (len(self.bigram_itos) > 0):
             raise ValueError("bigram vocabulary must be present iff bigrams are enabled")
-        vocabs = (self.token_itos, self.bigram_itos) if self.bigrams else (self.token_itos,)
-        for itos in vocabs:
-            if tuple(itos[:2]) != (UNK, PAD) or len(set(itos)) != len(itos):
-                raise ValueError(f"a vocabulary must start with {UNK}, {PAD} and hold no duplicate")
+        object.__setattr__(self, "token_vocab", Vocab.from_itos(self.token_itos))
+        object.__setattr__(self, "bigram_vocab",
+                           Vocab.from_itos(self.bigram_itos) if self.bigrams else None)
 
     @classmethod
     def from_corpus(cls, sentences: list[Sentence], seg_map, *, scheme: TagScheme, mode: str,
@@ -74,14 +75,6 @@ class ModelMeta:
         and feature ids from its own mode, bigrams and vocabularies."""
         return encode_corpus(sentences, seg_map, self.mode, self.bigrams, self.token_vocab,
                              self.feature_vocabs())
-
-    @property
-    def token_vocab(self) -> Vocab:
-        return Vocab.from_itos(list(self.token_itos))
-
-    @property
-    def bigram_vocab(self) -> Vocab | None:
-        return Vocab.from_itos(list(self.bigram_itos)) if self.bigrams else None
 
     def feature_vocabs(self) -> dict[str, Vocab]:
         """Vocabulary kind -> vocabulary of each feature table, in tensor order."""

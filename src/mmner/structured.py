@@ -43,6 +43,8 @@ def sentence_score(em: EmissionMatrix, trans: np.ndarray, labels) -> float:
         raise ValueError(f"expected {n} labels, got {len(labels)}")
     path = np.array([n_labels, *labels])  # non-integer labels fail to index
     terms = trans[path[:-1], path[1:]] + em.log_probs[np.arange(n), path[1:]]
+    if path.min() < 0:  # indexing above wraps a negative label
+        raise IndexError(f"labels must lie in [0, {n_labels}), got {path.min()}")
     return float(np.add.accumulate(np.append(0.0, terms))[-1])
 
 

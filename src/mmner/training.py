@@ -206,9 +206,9 @@ def sgd_step(
     tensors absent from the gradient dict update with g = 0. The
     embedding tables decay lazily through their scale and write only the
     gradient's rows; dense tensors decay in place. Consumes ``grads``.
-    A gradient it cannot apply (no such tensor, wrong type, misshapen, a
-    :class:`RowGrad` that does not fit its table) is a ValueError, raised
-    before any tensor changes.
+    A gradient it cannot apply (no such tensor, wrong type, not float or
+    misshapen, a :class:`RowGrad` that does not fit its table) is a
+    ValueError, raised before any tensor changes.
     """
     grads = grads or {}
     dense = params.dense_tensors()
@@ -219,8 +219,9 @@ def sgd_step(
         if not isinstance(g, (RowGrad if sparse else np.ndarray) | None):
             want = "a RowGrad" if sparse else "an array"
             raise ValueError(f"gradient for {name} must be {want}, got {type(g).__name__}")
-        if not sparse and g is not None and g.shape != (shape := dense[name].shape):
-            raise ValueError(f"gradient shape mismatch for {name}: {g.shape} vs {shape}")
+        if not sparse and g is not None and (g.dtype.kind, g.shape) != ("f", dense[name].shape):
+            raise ValueError(f"gradient for {name} must be a float array of shape "
+                             f"{dense[name].shape}, got {g.dtype} of shape {g.shape}")
         if sparse and g is not None and not g.fits((t := params.tables[name]).size, t.dim):
             raise ValueError(f"gradient for {name} must have strictly ascending integer rows "
                              f"in [0, {t.size}) and float values of shape (rows, {t.dim})")

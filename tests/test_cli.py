@@ -444,6 +444,8 @@ class TestPredict:
 @pytest.mark.parametrize("patch, says", [
     (None, "metadata is not a JSON object"),
     ({"bigram_itos": []}, "bigram vocabulary must be present iff bigrams are enabled"),
+    (lambda doc: repeat_entry(doc["bigram_itos"]),
+     "a vocabulary must start with <unk>, <pad> and hold no duplicate"),
 ])
 def test_metadata_error_names_the_fault(tmp_path, corpus_files, capsys, patch, says):
     model = tmp_path / "bad.bin"

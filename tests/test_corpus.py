@@ -360,6 +360,11 @@ class TestVocab:
         with pytest.raises(ValueError):
             Vocab.from_itos(["a", "b"])
 
+    def test_rejects_a_duplicate(self):
+        # the duplicate's first row could never be reached
+        with pytest.raises(ValueError, match="hold no duplicate"):
+            Vocab.from_itos(["<unk>", "<pad>", "a", "a"])
+
 
 class TestRepresent:
     def test_slot_kinds(self):

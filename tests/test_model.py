@@ -8,8 +8,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mmner.corpus import (build_vocab, encode_corpus, load_segmentation, represent, slot_kinds,
-                          vocab_sources)
+from mmner.corpus import (Vocab, build_vocab, encode_corpus, load_segmentation, represent,
+                          slot_kinds, vocab_sources)
 from mmner.embeddings import random_table
 from mmner.model import ModelMeta, ModelParams, init_params
 from mmner.synthetic import synthetic_corpus, tiny_instance
@@ -93,6 +93,24 @@ def test_encoding_keeps_the_text_so_encoding_again_changes_nothing(mode, bigrams
         assert a.tokens == b.tokens == sent.tokens
         assert np.array_equal(a.token_ids, b.token_ids) and 0 not in a.token_ids
         assert np.array_equal(a.features, b.features)
+
+
+def test_each_vocabulary_is_built_once(monkeypatch):
+    corpus = synthetic_corpus(n_sentences=5, seed=3)
+    meta = ModelMeta.from_corpus(corpus.sentences, None, scheme=corpus.scheme, mode="segfeat",
+                                 bigrams=True, **SIZES)
+    built = []
+    from_itos = Vocab.from_itos.__func__
+    monkeypatch.setattr(Vocab, "from_itos",
+                        classmethod(lambda cls, itos: built.append(itos) or from_itos(cls, itos)))
+    meta = dataclasses.replace(meta)  # a new ModelMeta over the same fields
+    for _ in range(3):
+        meta.encode(corpus.sentences, None)
+        assert meta.token_vocab is meta.token_vocab
+        assert meta.feature_vocabs()["bigram"] is meta.bigram_vocab
+    assert built == [meta.token_itos, meta.bigram_itos]
+    assert meta.token_vocab.itos == list(meta.token_itos)
+    assert meta.bigram_vocab.itos == list(meta.bigram_itos)
 
 
 def test_unknown_mode_is_a_value_error():

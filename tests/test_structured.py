@@ -78,6 +78,12 @@ class TestSentenceScore:
             with pytest.raises(IndexError):
                 score(em, np.zeros((4, 3)), labels)
 
+    def test_a_negative_label_raises(self):
+        # wrapped, -1 as the next position's predecessor would read the start row
+        em = em_from_probs([[0.2, 0.3, 0.5]] * 2)
+        with pytest.raises(IndexError):
+            sentence_score(em, np.arange(12.0).reshape(4, 3), [-1, 0])
+
 
 class TestViterbi:
     def test_single_label(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mmner import training
-from mmner.corpus import Sentence, TagScheme
+from mmner.corpus import Sentence, TagScheme, Vocab
 from mmner.embeddings import SCALE_FLOOR, RowGrad
 from mmner.model import ModelMeta, ModelParams, init_params
 from mmner.network import EmissionMatrix, forward_sentence
@@ -263,7 +263,10 @@ class TestSgdStep:
         ("emb_token", np.zeros((4, 2)), "gradient for emb_token must be a RowGrad, got ndarray"),
         # tensors updated after others: rejected before anything changes
         ("emb_bigram", np.zeros((4, 2)), "gradient for emb_bigram must be a RowGrad, got ndarray"),
-        ("proj_b", np.zeros(99), "gradient shape mismatch for proj_b: (99,) vs (3,)"),
+        ("proj_b", np.zeros(99),
+         "gradient for proj_b must be a float array of shape (3,), got float64 of shape (99,)"),
+        ("proj_b", np.ones(3, dtype=np.int64),
+         "gradient for proj_b must be a float array of shape (3,), got int64 of shape (3,)"),
         ("proj_b", RowGrad(np.array([0]), np.zeros((1, 3))),
          "gradient for proj_b must be an array, got RowGrad"),
         # a RowGrad that does not fit its table: emb_token is 4 x 3, emb_bigram 10 x 2
@@ -695,7 +698,11 @@ class TestSerialization:
 
     def test_load_peak_is_one_model(self, big_model):
         path, tensor_bytes = big_model
-        assert traced_peak(lambda: load_model(str(path))) <= tensor_bytes + 2 * 2**20
+        # the loaded metadata keeps its vocabularies, which belong to the model
+        meta = load_model(str(path)).meta
+        vocab_bytes = traced_peak(lambda: [Vocab.from_itos(meta.token_itos),
+                                           Vocab.from_itos(meta.bigram_itos)])
+        assert traced_peak(lambda: load_model(str(path))) <= tensor_bytes + vocab_bytes + 2 * 2**20
 
     def test_save_peak_stays_below_one_model(self, big_model, tmp_path):
         params, tensor_bytes = load_model(str(big_model[0])), big_model[1]
