@@ -50,7 +50,7 @@ print("\nrepair", [scheme.name(x) for x in broken], "->", [scheme.name(x) for x 
 # its position inside its word (B/I/E/S), so the embedding vocabulary keys
 # carry segmentation information.
 seg = load_segmentation("张伟 去 北京\n哥们 在 老家\n")
-print("\nper-word position tags for 张伟:", positional_tags("张伟"))
+print("\nper-word position tags for 张伟:", list(positional_tags("张伟")))
 print("positional tokens:", represent(sentences[0], list(seg["张伟去北京"]), "positional", False)[0])
 print("lookup for the joined sentence:", seg["张伟去北京"])
 

@@ -5,8 +5,8 @@ segmentation features) plus bigram feature templates."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Iterable, Sequence
+from itertools import accumulate, chain, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -194,8 +194,7 @@ def labels_from_entities(spans: list[EntitySpan], length: int, scheme: TagScheme
             raise ValueError(f"span {span} out of bounds for length {length}")
         if any(taken[span.start:span.end]):
             raise ValueError(f"span {span} overlaps another span")
-        for t in range(span.start, span.end):
-            taken[t] = True
+        taken[span.start:span.end] = [True] * (span.end - span.start)
         labels[span.start] = scheme.begin(span.category)
         for t in range(span.start + 1, span.end):
             labels[t] = scheme.inside(span.category)
@@ -259,13 +258,11 @@ def parse_conll(text: str, scheme: TagScheme | None) -> tuple[list[Sentence], in
 # Word segmentation representations
 
 
-def positional_tags(word: str) -> list[str]:
-    """Within-word position tags for one word: S, or B I* E."""
+def positional_tags(word: str) -> str:
+    """Within-word position tags for one word, one character each: S, or B I* E."""
     if not word:
         raise ValueError("empty word")
-    if len(word) == 1:
-        return ["S"]
-    return ["B"] + ["I"] * (len(word) - 2) + ["E"]
+    return "S" if len(word) == 1 else "B" + "I" * (len(word) - 2) + "E"
 
 
 def load_segmentation(lines) -> dict[str, tuple[str, ...]]:
@@ -283,10 +280,7 @@ def load_segmentation(lines) -> dict[str, tuple[str, ...]]:
             continue
         key = "".join(words)
         if key not in table:
-            tags: list[str] = []
-            for word in words:
-                tags.extend(positional_tags(word))
-            table[key] = tuple(tags)
+            table[key] = tuple("".join(map(positional_tags, words)))
     return table
 
 
@@ -314,16 +308,17 @@ def seg_tags_for(tokens: list[str], seg_map: dict[str, tuple[str, ...]] | None) 
 class Vocab:
     """String -> dense index map with reserved unknown (0) and padding (1)."""
 
-    itos: list[str]
+    itos: Sequence[str]
     stoi: dict[str, int]
 
     @classmethod
     def from_itos(cls, itos: Sequence[str]) -> "Vocab":
-        """The one vocabulary rule: ``itos`` starts with UNK, PAD and holds no duplicate."""
+        """The one vocabulary rule: ``itos`` starts with UNK, PAD and holds no
+        duplicate. The vocabulary keeps ``itos`` itself, not a copy."""
         stoi = dict(zip(itos, range(len(itos))))
         if list(itos[:2]) != [UNK, PAD] or len(stoi) != len(itos):
             raise ValueError(f"a vocabulary must start with {UNK}, {PAD} and hold no duplicate")
-        return cls(list(itos), stoi)
+        return cls(itos, stoi)
 
     def index(self, s: str) -> int:
         return self.stoi.get(s, 0)
@@ -335,12 +330,14 @@ class Vocab:
         return s in self.stoi
 
 
-def build_vocab(tokens: Iterable[str]) -> Vocab:
-    """Map each distinct string to a dense index.
+def vocab_itos(tokens: Iterable[str]) -> list[str]:
+    """The two reserved entries, then each distinct string in first-occurrence order."""
+    return list(dict.fromkeys(chain((UNK, PAD), tokens)))
 
-    Indices follow first-occurrence order after the two reserved entries.
-    """
-    return Vocab.from_itos(list(dict.fromkeys(chain((UNK, PAD), tokens))))
+
+def build_vocab(tokens: Iterable[str]) -> Vocab:
+    """Map each distinct string to a dense index, in :func:`vocab_itos` order."""
+    return Vocab.from_itos(vocab_itos(tokens))
 
 
 SEG_VOCAB = Vocab.from_itos([UNK, PAD, *SEG_TAGS])
@@ -360,61 +357,72 @@ def slot_kinds(mode: str, bigrams: bool) -> list[str]:
     return kinds
 
 
+def _columns(sentences: list[Sentence], seg_tags: Iterable[list[str]], mode: str, bigrams: bool):
+    """The one step from text to strings, over all ``sentences`` in a row: the
+    distinct (vocabulary kind, strings) columns, iterators to read once, the
+    token keys first, and per slot of :func:`slot_kinds` a (column, indices)
+    pair. A bigram column joins the entries 1 or 2 apart in the sentences
+    joined with two BOUNDARY around each: the five templates index two columns."""
+    chars = list(chain.from_iterable(sent.tokens for sent in sentences))
+    tags = list(chain.from_iterable(seg_tags))
+    segfeat = "seg" in slot_kinds(mode, bigrams)
+    columns = [("token", iter(chars) if segfeat else map("#".join, zip(chars, tags)))]
+    columns += [("seg", iter(tags))] if segfeat else []
+    slots = [(1, np.arange(len(tags)))] if segfeat else []
+    if bigrams:
+        padded = [BOUNDARY, BOUNDARY]
+        for sent in sentences:
+            padded += [*sent.tokens, BOUNDARY, BOUNDARY]
+        # the corpus's i-th token, in sentence k, is padded[i + 2 + 2k]
+        at = np.arange(2, len(chars) + 2) + np.repeat(
+            np.arange(0, 2 * len(sentences), 2), [len(sent) for sent in sentences])
+        gaps = list(dict.fromkeys(b - a for a, b in BIGRAM_OFFSETS))
+        slots += [(len(columns) + gaps.index(b - a), at + a) for a, b in BIGRAM_OFFSETS]
+        columns += [("bigram", map(str.__add__, padded, islice(padded, gap, None))) for gap in gaps]
+    return columns, slots
+
+
+def _strings(columns: list[tuple[str, Iterator[str]]], slots) -> tuple[list[str], list[list[str]]]:
+    """The token keys and, per slot, its string at each position."""
+    strings = [list(column) for _, column in columns]
+    return strings[0], [list(map(strings[c].__getitem__, at.tolist())) for c, at in slots]
+
+
 def represent(sentence: Sentence, seg_tags: list[str], mode: str, bigrams: bool):
     """Token keys (the characters, or ``char#tag`` when positional) and, per
-    slot of :func:`slot_kinds` in order, a column of that slot's strings."""
-    raw = sentence.tokens
-    if len(seg_tags) != len(raw):
+    slot of :func:`slot_kinds` in order, a column of that slot's strings: the
+    one-sentence case of :func:`encode_corpus`'s corpus-wide columns."""
+    if len(seg_tags) != len(sentence.tokens):
         raise ValueError("segmentation tag count does not match token count")
-    if mode == MODE_POSITIONAL:
-        surface = [f"{ch}#{tag}" for ch, tag in zip(raw, seg_tags)]
-    elif mode == MODE_SEGFEAT:
-        surface = list(raw)
-    else:
-        raise ValueError(f"unknown representation mode {mode!r}")
-    columns = [seg_tags] if mode == MODE_SEGFEAT else []
-    if bigrams:
-        padded = [BOUNDARY, BOUNDARY, *raw, BOUNDARY, BOUNDARY]
-        columns += [list(map(str.__add__, padded[2 + a:2 + a + len(raw)], padded[2 + b:]))
-                    for a, b in BIGRAM_OFFSETS]
-    return surface, columns
+    return _strings(*_columns([sentence], [seg_tags], mode, bigrams))
 
 
-def encode_corpus(
-    sentences: list[Sentence],
-    seg_map: dict[str, tuple[str, ...]] | None,
-    mode: str,
-    bigrams: bool,
-    token_vocab: Vocab,
-    vocabs: dict[str, Vocab],
-) -> list[Sentence]:
+def encode_corpus(sentences: list[Sentence], seg_map: dict[str, tuple[str, ...]] | None,
+                  mode: str, bigrams: bool, token_vocab: Vocab,
+                  vocabs: dict[str, Vocab]) -> list[Sentence]:
     """Copies of the sentences, tokens as given, with the integer arrays of
-    :class:`Sentence`: ids of :func:`represent`'s token keys and features."""
-    lookups = [vocabs[kind].index for kind in slot_kinds(mode, bigrams)]
-    out = []
-    for sent in sentences:
-        surface, columns = represent(sent, seg_tags_for(sent.tokens, seg_map), mode, bigrams)
-        features = np.empty((len(surface), len(lookups)), dtype=np.intp)
-        for s, (index, column) in enumerate(zip(lookups, columns)):
-            features[:, s] = list(map(index, column))
-        out.append(replace(sent, features=features,
-                           token_ids=np.fromiter(map(token_vocab.index, surface), np.intp)))
-    return out
+    :class:`Sentence`: ids of :func:`represent`'s token keys and features. Each
+    column is looked up as it is built, once for the whole corpus. A sentence
+    gets copies of its rows, not views, which would keep the corpus-wide arrays
+    alive; measured, that doubled the page faults of the training that follows."""
+    columns, slots = _columns(
+        sentences, [seg_tags_for(sent.tokens, seg_map) for sent in sentences], mode, bigrams)
+    by_kind = {**vocabs, "token": token_vocab}
+    ids = [np.fromiter(map(by_kind[kind].stoi.get, strings, repeat(0)), np.intp)
+           for kind, strings in columns]
+    features = np.empty((len(ids[0]), len(slots)), dtype=np.intp)
+    for s, (c, at) in enumerate(slots):
+        features[:, s] = ids[c][at]
+    bounds = [0, *accumulate(map(len, sentences))]
+    return [replace(sent, features=features[i:j].copy(), token_ids=ids[0][i:j].copy())
+            for sent, i, j in zip(sentences, bounds, bounds[1:])]
 
 
-def vocab_sources(
-    sentences: list[Sentence],
-    seg_map: dict[str, tuple[str, ...]] | None,
-    mode: str,
-    bigrams: bool,
-) -> tuple[list[str], list[str]]:
+def vocab_sources(sentences: list[Sentence], seg_map: dict[str, tuple[str, ...]] | None,
+                  mode: str, bigrams: bool) -> tuple[list[str], list[str]]:
     """All token keys and bigram strings a corpus produces, for vocab
     building: the bigrams position after position, each in template order."""
-    token_strings: list[str] = []
-    bigram_strings: list[str] = []
-    for sent in sentences:
-        surface, columns = represent(sent, seg_tags_for(sent.tokens, seg_map), mode, bigrams)
-        token_strings.extend(surface)
-        if bigrams:
-            bigram_strings.extend(s for row in zip(*columns[-len(BIGRAM_OFFSETS):]) for s in row)
-    return token_strings, bigram_strings
+    columns, slots = _columns(
+        sentences, [seg_tags_for(sent.tokens, seg_map) for sent in sentences], mode, bigrams)
+    keys, strings = _strings(columns, [(c, at) for c, at in slots if columns[c][0] == "bigram"])
+    return keys, list(chain.from_iterable(zip(*strings)))

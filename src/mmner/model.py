@@ -13,9 +13,9 @@ from .corpus import (
     Sentence,
     TagScheme,
     Vocab,
-    build_vocab,
     encode_corpus,
     slot_kinds,
+    vocab_itos,
     vocab_sources,
 )
 from .embeddings import EmbeddingTable, InputAssembly, random_table
@@ -67,8 +67,7 @@ class ModelMeta:
         and, with bigrams on, every bigram, in first-occurrence order."""
         tokens, bigram_strings = vocab_sources(sentences, seg_map, mode, bigrams)
         return cls(scheme, mode, bigrams, window, d_token, d_feature, hidden_dim,
-                   tuple(build_vocab(tokens).itos),
-                   tuple(build_vocab(bigram_strings).itos) if bigrams else ())
+                   tuple(vocab_itos(tokens)), tuple(vocab_itos(bigram_strings)) if bigrams else ())
 
     def encode(self, sentences: list[Sentence], seg_map) -> list[Sentence]:
         """The sentences as this model's input: their tokens kept, token ids

@@ -115,15 +115,7 @@ def tiny_instance(
 
 def to_conll(sentences: list[Sentence], scheme: TagScheme) -> str:
     """Render sentences as token<TAB>label lines, blank line between them."""
-    blocks = []
-    for sent in sentences:
-        if sent.gold_labels is None:
-            blocks.append("\n".join(sent.tokens))
-        else:
-            blocks.append(
-                "\n".join(
-                    f"{tok}\t{scheme.name(lab)}"
-                    for tok, lab in zip(sent.tokens, sent.gold_labels)
-                )
-            )
-    return "\n\n".join(blocks) + "\n"
+    return "\n\n".join(
+        "\n".join(sent.tokens if sent.gold_labels is None else
+                  [f"{tok}\t{scheme.name(lab)}" for tok, lab in zip(sent.tokens, sent.gold_labels)])
+        for sent in sentences) + "\n"

@@ -9,6 +9,10 @@ lstm_step is the LSTM recurrence written out with a plain logistic sigmoid,
 which the GEMM-based directions of the network are checked against.
 reference_bigrams is the per-position bigram extractor that the column-wise
 corpus.represent replaced, each template written out on its own.
+reference_represent, reference_encode_corpus and reference_vocab_sources
+are the per-sentence text-to-ids steps that the corpus-wide columns of
+corpus.encode_corpus and corpus.vocab_sources replaced: every template's
+strings built apart from reference_bigrams, one lookup per string.
 reference_assemble_window is the slice-and-concatenate input assembly that
 the one-gather embeddings.assemble_window replaced, its padded ids built
 from lists. reference_init_params is the parameter init that drew through a
@@ -24,10 +28,11 @@ terms in another order than sentence_score's picks a wrong argmax.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
-from mmner.corpus import BOUNDARY, EntitySpan, TagScheme
+from mmner.corpus import BOUNDARY, EntitySpan, TagScheme, seg_tags_for
 from mmner.embeddings import PAD_INDEX, random_table
 from mmner.evaluation import Counts
 from mmner.network import EmissionMatrix
@@ -204,6 +209,45 @@ def reference_bigrams(tokens, t):
         tok(t + 1) + tok(t + 2),
         tok(t - 1) + tok(t + 1),
     ]
+
+
+def reference_represent(tokens, seg_tags, mode, bigrams):
+    """Token keys and, per feature slot (the tag in segfeat mode, then the
+    five templates), that slot's string at each position of one sentence."""
+    keys = [f"{ch}#{tag}" for ch, tag in zip(tokens, seg_tags)] if mode == "positional" \
+        else list(tokens)
+    columns = [list(seg_tags)] if mode == "segfeat" else []
+    if bigrams:
+        rows = [reference_bigrams(tokens, t) for t in range(len(tokens))]
+        columns += [[row[s] for row in rows] for s in range(5)]
+    return keys, columns
+
+
+def reference_encode_corpus(sentences, seg_map, mode, bigrams, token_vocab, vocabs):
+    """Each sentence on its own: its strings, then one vocabulary lookup per string."""
+    kinds = ["seg"] * (mode == "segfeat") + ["bigram"] * (5 * bigrams)
+    out = []
+    for sent in sentences:
+        keys, columns = reference_represent(sent.tokens, seg_tags_for(sent.tokens, seg_map),
+                                            mode, bigrams)
+        features = np.empty((len(keys), len(kinds)), dtype=np.intp)
+        for s, (kind, column) in enumerate(zip(kinds, columns)):
+            features[:, s] = [vocabs[kind].stoi.get(x, 0) for x in column]
+        token_ids = np.array([token_vocab.stoi.get(k, 0) for k in keys], dtype=np.intp)
+        out.append(replace(sent, features=features, token_ids=token_ids))
+    return out
+
+
+def reference_vocab_sources(sentences, seg_map, mode, bigrams):
+    """Every token key, and every bigram position after position in template order."""
+    token_strings, bigram_strings = [], []
+    for sent in sentences:
+        keys, columns = reference_represent(sent.tokens, seg_tags_for(sent.tokens, seg_map),
+                                            mode, bigrams)
+        token_strings += keys
+        if bigrams:
+            bigram_strings += [s for row in zip(*columns[-5:]) for s in row]
+    return token_strings, bigram_strings
 
 
 def reference_assemble_window(sentence, assembly):

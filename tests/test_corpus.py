@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,10 +34,12 @@ from mmner.triggers import sentence_f1
 
 from oracles import (
     reference_bigrams,
+    reference_encode_corpus,
     reference_entities_from_labels,
     reference_repair_bio,
     reference_sentence_f1,
     reference_split,
+    reference_vocab_sources,
 )
 
 SCHEME = TagScheme.from_entity_types((("PER", "NAM"), ("GPE", "NOM")))
@@ -276,9 +280,9 @@ class TestParseConll:
 
 class TestPositional:
     def test_tags(self):
-        assert positional_tags("a") == ["S"]
-        assert positional_tags("ab") == ["B", "E"]
-        assert positional_tags("abcd") == ["B", "I", "I", "E"]
+        assert positional_tags("a") == "S"
+        assert positional_tags("ab") == "BE"
+        assert positional_tags("abcd") == "BIIE"
 
     def test_empty_word_raises(self):
         with pytest.raises(ValueError):
@@ -326,6 +330,97 @@ class TestBigrams:
             b + "A", "AB", "BC", "C" + b, "AC",
             "AB", "BC", "C" + b, b + b, "B" + b,
         ]
+
+
+# tokens of 1-3 characters over two letters, so that different token pairs
+# join to one bigram string ("AB" + "A" and "A" + "BA") and sentences collide
+TOKENS = st.text(alphabet="AB", min_size=1, max_size=3)
+
+
+@st.composite
+def segmented_corpora(draw):
+    """Sentences and a segmentation lookup that holds some of them. A held
+    sentence of one-character tokens is a hit; one with a longer token gives
+    more tags than tokens, which is a CorpusError."""
+    sentences, lines = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        token = st.sampled_from("AB") if draw(st.booleans()) else TOKENS
+        tokens = draw(st.lists(token, min_size=1, max_size=5))
+        sentences.append(Sentence(tokens))
+        if draw(st.booleans()):
+            text = "".join(tokens)
+            cuts = sorted(draw(st.sets(st.integers(1, max(1, len(text) - 1)))) - {len(text)})
+            lines.append(" ".join(text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)])))
+    return sentences, load_segmentation("\n".join(lines))
+
+
+def assert_same_encoding(ours, theirs, n_slots):
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        n = len(b.tokens)
+        assert a.tokens is b.tokens and a.gold_labels is b.gold_labels
+        assert a.token_ids.dtype == a.features.dtype == np.intp
+        assert a.token_ids.shape == (n,) and a.features.shape == (n, n_slots)
+        # each sentence owns its arrays rather than views of corpus-wide ones
+        assert a.token_ids.base is None and a.features.base is None
+        assert np.array_equal(a.token_ids, b.token_ids)
+        assert np.array_equal(a.features, b.features)
+
+
+class TestCorpusColumns:
+    """encode_corpus and vocab_sources, which build each distinct column once
+    for the whole corpus, against the per-sentence references they replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(segmented_corpora(), st.sampled_from(MODES), st.booleans())
+    def test_match_the_per_sentence_references(self, corpus, mode, bigrams):
+        sentences, seg_map = corpus
+        try:
+            expected = reference_vocab_sources(sentences, seg_map, mode, bigrams)
+        except CorpusError as error:
+            vocabs = {"seg": SEG_VOCAB, "bigram": build_vocab([])}
+            for call in (lambda: vocab_sources(sentences, seg_map, mode, bigrams),
+                         lambda: encode_corpus(sentences, seg_map, mode, bigrams,
+                                               build_vocab([]), vocabs)):
+                with pytest.raises(CorpusError, match=re.escape(str(error))):
+                    call()
+            return
+        assert vocab_sources(sentences, seg_map, mode, bigrams) == expected
+        # vocabularies from the first sentence only, so later ones meet unknowns
+        tokens, bigram_strings = reference_vocab_sources(sentences[:1], seg_map, mode, bigrams)
+        token_vocab = build_vocab(tokens)
+        vocabs = {"seg": SEG_VOCAB, "bigram": build_vocab(bigram_strings)}
+        assert_same_encoding(
+            encode_corpus(sentences, seg_map, mode, bigrams, token_vocab, vocabs),
+            reference_encode_corpus(sentences, seg_map, mode, bigrams, token_vocab, vocabs),
+            len(slot_kinds(mode, bigrams)))
+
+    @pytest.mark.parametrize("bigrams", [True, False], ids=["bigrams", "no-bigrams"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("tokens", [[], [["A"]], [["AB", "C", "A", "BC"], ["C"]]],
+                             ids=["empty", "one-token", "collisions"])
+    def test_edge_corpora(self, tokens, mode, bigrams):
+        sentences = [Sentence(t) for t in tokens]
+        token_strings, bigram_strings = vocab_sources(sentences, None, mode, bigrams)
+        assert (token_strings, bigram_strings) == reference_vocab_sources(sentences, None, mode,
+                                                                          bigrams)
+        token_vocab = build_vocab(token_strings)
+        vocabs = {"seg": SEG_VOCAB, "bigram": build_vocab(bigram_strings)}
+        ours = encode_corpus(sentences, None, mode, bigrams, token_vocab, vocabs)
+        assert_same_encoding(
+            ours, reference_encode_corpus(sentences, None, mode, bigrams, token_vocab, vocabs),
+            len(slot_kinds(mode, bigrams)))
+        if bigrams and tokens[1:]:
+            # "AB" + "C" (template (0, 1) at 0) and "A" + "BC" (at 2) are one string
+            assert ours[0].features[0, -3] == ours[0].features[2, -3] > 1
+
+    def test_a_hit_with_another_tag_count_is_a_corpus_error(self):
+        seg_map = load_segmentation("ABC\n")  # one word: three tags
+        sentences = [Sentence(["A", "B", "C"]), Sentence(["AB", "C"])]
+        with pytest.raises(CorpusError, match="gives 3 tags for its 2 tokens"):
+            vocab_sources(sentences, seg_map, MODE_SEGFEAT, True)
+        with pytest.raises(CorpusError, match="gives 3 tags for its 2 tokens"):
+            encode_corpus(sentences, seg_map, MODE_POSITIONAL, False, build_vocab([]), {})
 
 
 class TestSegmentation:

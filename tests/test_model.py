@@ -97,20 +97,24 @@ def test_encoding_keeps_the_text_so_encoding_again_changes_nothing(mode, bigrams
 
 def test_each_vocabulary_is_built_once(monkeypatch):
     corpus = synthetic_corpus(n_sentences=5, seed=3)
-    meta = ModelMeta.from_corpus(corpus.sentences, None, scheme=corpus.scheme, mode="segfeat",
-                                 bigrams=True, **SIZES)
     built = []
     from_itos = Vocab.from_itos.__func__
     monkeypatch.setattr(Vocab, "from_itos",
                         classmethod(lambda cls, itos: built.append(itos) or from_itos(cls, itos)))
+    # from_corpus hands its itos tuples to ModelMeta, which builds each vocabulary once
+    meta = ModelMeta.from_corpus(corpus.sentences, None, scheme=corpus.scheme, mode="segfeat",
+                                 bigrams=True, **SIZES)
+    assert built == [meta.token_itos, meta.bigram_itos]
+    built.clear()
     meta = dataclasses.replace(meta)  # a new ModelMeta over the same fields
     for _ in range(3):
         meta.encode(corpus.sentences, None)
         assert meta.token_vocab is meta.token_vocab
         assert meta.feature_vocabs()["bigram"] is meta.bigram_vocab
     assert built == [meta.token_itos, meta.bigram_itos]
-    assert meta.token_vocab.itos == list(meta.token_itos)
-    assert meta.bigram_vocab.itos == list(meta.bigram_itos)
+    # each vocabulary keeps the stored tuple rather than a copy of it
+    assert meta.token_vocab.itos is meta.token_itos
+    assert meta.bigram_vocab.itos is meta.bigram_itos
 
 
 def test_unknown_mode_is_a_value_error():
