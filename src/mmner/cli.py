@@ -104,8 +104,9 @@ GRADCHECK_KEYS = ("seed", "trigger", "kappa", "beta", "mode", "bigrams")
 
 
 def parse_config(text: str) -> dict[str, str]:
-    """Flat "key = value" lines; '#' comments; unknown keys are errors."""
+    """Flat "key = value" lines; '#' comments; unknown or repeated keys are errors."""
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -116,7 +117,9 @@ def parse_config(text: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS:
             raise CliError(f"config line {lineno}: unknown key {key!r}")
-        out[key] = value
+        if key in seen:
+            raise CliError(f"config line {lineno}: key {key!r} already set on line {seen[key]}")
+        out[key], seen[key] = value, lineno
     return out
 
 

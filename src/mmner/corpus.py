@@ -62,7 +62,9 @@ class TagScheme:
             raise ValueError("duplicate label names")
         if self.outside_label not in self.labels:
             raise ValueError("outside label %r not in label set" % self.outside_label)
-        types = {f"{cat}.{kind}" for cat, kind in self.entity_types}
+        types = {f"{c}.{k}" for c, k in self.entity_types if {type(c), type(k)} == {str}}
+        if len(types) != len(self.entity_types):
+            raise ValueError("entity types must be distinct pairs of strings")
         parts = []
         for name in self.labels:
             prefix, _, typ = name.partition("-")
@@ -313,11 +315,12 @@ class Vocab:
 
     @classmethod
     def from_itos(cls, itos: Sequence[str]) -> "Vocab":
-        """The one vocabulary rule: ``itos`` starts with UNK, PAD and holds no
-        duplicate. The vocabulary keeps ``itos`` itself, not a copy."""
+        """The one vocabulary rule: ``itos`` holds strings, starts with UNK, PAD
+        and holds no duplicate. The vocabulary keeps ``itos`` itself, not a copy."""
         stoi = dict(zip(itos, range(len(itos))))
-        if list(itos[:2]) != [UNK, PAD] or len(stoi) != len(itos):
-            raise ValueError(f"a vocabulary must start with {UNK}, {PAD} and hold no duplicate")
+        if list(itos[:2]) != [UNK, PAD] or len(stoi) != len(itos) or set(map(type, itos)) != {str}:
+            raise ValueError(f"a vocabulary must hold strings, start with {UNK}, {PAD} "
+                             "and hold no duplicate")
         return cls(itos, stoi)
 
     def index(self, s: str) -> int:

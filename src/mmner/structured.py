@@ -79,13 +79,10 @@ def beam_topk(em: EmissionMatrix, trans: np.ndarray, k: int) -> list[ScoredSeque
     lexicographic order, so one stable sort of the flattened (beam x label)
     scores per position breaks ties that way too.
     """
-    n, n_labels = em.n, em.n_labels
-    check_transitions(trans, n_labels)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n < 1:
-        raise ValueError("empty emission matrix")
-
+    vit = viterbi(em, trans)  # checks the transitions and the empty case
+    n, n_labels = em.n, em.n_labels
     prev, scores = np.array([n_labels]), np.zeros(1)  # the empty prefix, on the start row
     paths = np.empty((1, 0), dtype=np.intp)
     for t in range(n):
@@ -95,7 +92,6 @@ def beam_topk(em: EmissionMatrix, trans: np.ndarray, k: int) -> list[ScoredSeque
         parent, prev = np.divmod(keep, n_labels)
         paths, scores = np.column_stack((paths[parent], prev)), grown[keep]
 
-    vit = viterbi(em, trans)
     best = np.argsort(-scores, kind="stable")
     rest = [ScoredSequence(labels, score)
             for labels, score in zip(paths[best].tolist(), scores[best].tolist())

@@ -72,35 +72,13 @@ def _forward(sentence: Sentence, params: ModelParams) -> SentenceCache:
 
 def predict_all(sentences: list[Sentence], params: ModelParams) -> list[list[int]]:
     """Plain Viterbi decode of each encoded sentence, in order."""
-    assembly = params.assembly()
-    out = []
-    for sentence in sentences:
-        cache = forward_sentence(sentence, assembly, params.fwd, params.bwd, params.proj)
-        out.append(viterbi(cache.em, params.transitions).labels)
-    return out
+    return [viterbi(_forward(sentence, params).em, params.transitions).labels
+            for sentence in sentences]
 
 
 def predict_labels(sentence: Sentence, params: ModelParams) -> list[int]:
     """Plain Viterbi decode of one encoded sentence."""
     return predict_all([sentence], params)[0]
-
-
-def _hamming_augmented(em: EmissionMatrix, gold: list[int], kappa: float) -> EmissionMatrix:
-    """Emissions with the Hamming cost folded in: +kappa off the gold label."""
-    cost = np.full(em.log_probs.shape, kappa)
-    cost[np.arange(len(gold)), gold] = 0.0
-    return EmissionMatrix(em.probs, em.log_probs + cost)
-
-
-def _ranked(
-    candidates: list[ScoredSequence], gold: list[int], trigger: Trigger, scheme: TagScheme
-) -> list[tuple[float, list[int]]]:
-    """(s + Delta, labels) of each candidate, best first. Ties: the first
-    candidate (the plain Viterbi sequence) wins any tie it attains, otherwise
-    the lexicographically smaller label sequence does."""
-    vit = candidates[0].labels
-    scored = [(c.score + trigger.delta(gold, c.labels, scheme), c.labels) for c in candidates]
-    return sorted(scored, key=lambda item: (-item[0], item[1] != vit, item[1]))
 
 
 def _augmented_best(
@@ -111,15 +89,24 @@ def _augmented_best(
     scheme: TagScheme,
     beam_k: int,
 ) -> tuple[list[int], float]:
-    """Maximize s + Delta; returns (labels, augmented score), ties as in
-    :func:`_ranked`."""
-    # the Hamming cost is per position, so Viterbi on the folded emissions is exact
+    """Maximize s + Delta; returns (labels, augmented score).
+
+    Hamming costs kappa per position off gold, so Viterbi on emissions with
+    that cost folded in is exact. The F-score triggers rank the beam's
+    candidates by s + Delta. Ties: the minimum of (-(s + Delta), not the
+    beam's Viterbi head, labels) wins.
+    """
     if trigger.kind == HAMMING:
-        best = viterbi(_hamming_augmented(em, gold, trigger.kappa), trans)
+        cost = np.full(em.log_probs.shape, trigger.kappa)
+        cost[np.arange(len(gold)), gold] = 0.0
+        best = viterbi(EmissionMatrix(em.probs, em.log_probs + cost), trans)
         return best.labels, best.score
 
-    aug, labels = _ranked(beam_topk(em, trans, beam_k), gold, trigger, scheme)[0]
-    return labels, aug
+    candidates = beam_topk(em, trans, beam_k)
+    head = candidates[0].labels
+    neg, _, labels = min((-(c.score + trigger.delta(gold, c.labels, scheme)), c.labels != head,
+                          c.labels) for c in candidates)
+    return labels, -neg
 
 
 def loss_augmented_predict(
@@ -158,8 +145,7 @@ def instance_gradients(
     gold = sentence.gold_labels
     if gold is None:
         raise ValueError("sentence has no gold labels")
-    assembly = params.assembly()
-    cache = forward_sentence(sentence, assembly, params.fwd, params.bwd, params.proj)
+    cache = _forward(sentence, params)
     trans = params.transitions
     labels, aug = _augmented_best(gold, cache.em, trans, trigger, params.meta.scheme, beam_k)
     q = aug - sentence_score(cache.em, trans, gold)
@@ -171,7 +157,7 @@ def instance_gradients(
     rows = np.arange(len(gold))
     np.add.at(d_log, (rows, labels), 1.0)
     np.add.at(d_log, (rows, gold), -1.0)
-    net = backward(cache, d_log, assembly, params.fwd, params.bwd, params.proj)
+    net = backward(cache, d_log, params.assembly(), params.fwd, params.bwd, params.proj)
 
     # d_feats follow first slot use, which tensor_shapes() makes tensor order
     grads = dict(zip(params.tables, [net.d_token, *net.d_feats]))
@@ -457,8 +443,10 @@ def augmented_gap(sentence: Sentence, params: ModelParams, trigger: Trigger) -> 
     and finite differences meaningless; callers resample such instances."""
     cache = _forward(sentence, params)
     everything = beam_topk(cache.em, params.transitions, cache.em.n_labels ** cache.em.n)
-    ranked = _ranked(everything, sentence.gold_labels, trigger, params.meta.scheme)
-    return ranked[0][0] - ranked[1][0] if len(ranked) > 1 else np.inf
+    gold, scheme = sentence.gold_labels, params.meta.scheme
+    augs = sorted((c.score + trigger.delta(gold, c.labels, scheme) for c in everything),
+                  reverse=True)
+    return augs[0] - augs[1] if len(augs) > 1 else np.inf
 
 
 def finite_difference_check(

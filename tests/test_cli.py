@@ -67,6 +67,10 @@ class TestParseConfig:
         with pytest.raises(CliError, match="line 1"):
             parse_config("just some words\n")
 
+    def test_repeated_key(self):
+        with pytest.raises(CliError, match="^config line 4: key 'epochs' already set on line 2$"):
+            parse_config("train = x\nepochs = 2\n\nepochs = 3\n")
+
     def test_only_newline_ends_a_line(self):
         text = "train = a\u2028b.conll\r\nepochs = 3\r\n"
         assert parse_config(text) == {"train": "a\u2028b.conll", "epochs": "3"}
@@ -331,6 +335,10 @@ def repeat_entry(itos):
     itos[-1] = itos[2]
 
 
+def replace_last(itos, entry):
+    itos[-1] = entry
+
+
 def run_cli(*argv, cwd=None, **env):
     env = dict(os.environ, PYTHONPATH=str(Path(mmner.__file__).resolve().parents[1]), **env)
     return subprocess.run([sys.executable, "-m", "mmner.cli", *argv],
@@ -445,7 +453,15 @@ class TestPredict:
     (None, "metadata is not a JSON object"),
     ({"bigram_itos": []}, "bigram vocabulary must be present iff bigrams are enabled"),
     (lambda doc: repeat_entry(doc["bigram_itos"]),
-     "a vocabulary must start with <unk>, <pad> and hold no duplicate"),
+     "a vocabulary must hold strings, start with <unk>, <pad> and hold no duplicate"),
+    *[pytest.param(lambda doc, key=key, entry=entry: replace_last(doc[key], entry),
+                   "a vocabulary must hold strings, start with <unk>, <pad> and hold no duplicate",
+                   id=f"{key}-{entry}")
+      for key in ("token_itos", "bigram_itos") for entry in (5, None, 2.5)],
+    ({"entity_types": [[1, 2]], "labels": ["O", "B-1.2", "I-1.2"]},
+     "entity types must be distinct pairs of strings"),
+    (lambda doc: doc["entity_types"].append(doc["entity_types"][0]),
+     "entity types must be distinct pairs of strings"),
 ])
 def test_metadata_error_names_the_fault(tmp_path, corpus_files, capsys, patch, says):
     model = tmp_path / "bad.bin"

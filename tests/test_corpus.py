@@ -83,6 +83,16 @@ class TestTagScheme:
         with pytest.raises(ValueError):
             TagScheme(("O", "O"), ())
 
+    @pytest.mark.parametrize("entity_types", [
+        (("PER", "NAM"), ("PER", "NAM")),
+        ((1, 2),),
+        (("PER", None),),
+    ])
+    def test_entity_types_are_distinct_string_pairs(self, entity_types):
+        labels = ("O", *(f"{p}-{c}.{k}" for c, k in entity_types[:1] for p in "BI"))
+        with pytest.raises(ValueError, match="^entity types must be distinct pairs of strings$"):
+            TagScheme(labels, entity_types)
+
 
 class TestBioRepair:
     def test_orphan_inside_becomes_begin(self):
@@ -459,6 +469,11 @@ class TestVocab:
         # the duplicate's first row could never be reached
         with pytest.raises(ValueError, match="hold no duplicate"):
             Vocab.from_itos(["<unk>", "<pad>", "a", "a"])
+
+    @pytest.mark.parametrize("entry", [5, None, 2.5, b"a"])
+    def test_rejects_a_non_string(self, entry):
+        with pytest.raises(ValueError, match="must hold strings"):
+            Vocab.from_itos(["<unk>", "<pad>", "a", entry])
 
 
 class TestRepresent:

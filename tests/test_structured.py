@@ -175,6 +175,16 @@ class TestBeamTopk:
             head, *rest = beam_topk(em, trans, 4)
             assert all(seq.score <= head.score for seq in rest)
 
+    @pytest.mark.parametrize("n, trans_rows, k, says", [
+        (2, 4, 0, "k must be >= 1"),
+        (2, 3, 2, r"transition matrix must be \(4, 3\), got \(3, 3\)"),
+        (0, 4, 2, "empty emission matrix"),
+    ])
+    def test_input_errors(self, n, trans_rows, k, says):
+        em = EmissionMatrix(np.full((n, 3), 1 / 3), np.full((n, 3), math.log(1 / 3)))
+        with pytest.raises(ValueError, match=f"^{says}$"):
+            beam_topk(em, np.zeros((trans_rows, 3)), k)
+
     def test_no_duplicates(self):
         rng = np.random.default_rng(12)
         em, trans = random_instance(rng, 4, 3)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import struct
 import tracemalloc
@@ -147,6 +148,47 @@ class TestInstanceLossHandCases:
         labels, aug = _augmented_best([0, 1, 0], em, trans, Trigger(kind), self.SCHEME2, 4)
         assert len(labels) == 3
         assert not math.isfinite(aug - sentence_score(em, trans, [0, 1, 0]))
+
+
+class TestDecodeContract:
+    """The tie rule of the F-score triggers' rerank and the gap the gradient
+    checks resample on, both pinned exactly."""
+
+    SCHEME2 = TagScheme(("O", "B-PER.NAM"), (("PER", "NAM"),))
+    FLAT = EmissionMatrix(np.ones((2, 2)), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("kind", ["hamming", "fscore", "integrated"])
+    def test_the_viterbi_head_wins_a_tie_it_attains(self, kind):
+        # [0, 1] and [1, 0] tie on s and on Delta against all-O gold; Viterbi
+        # ends on the lower label, so its head is the lexicographically larger
+        trans = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+        assert viterbi(self.FLAT, trans).labels == [1, 0]
+        labels, aug = _augmented_best([0, 0], self.FLAT, trans, Trigger(kind), self.SCHEME2, 4)
+        assert labels == [1, 0]
+        assert aug == sentence_score(self.FLAT, trans, [1, 0]) + Trigger(kind).delta(
+            [0, 0], [1, 0], self.SCHEME2)
+
+    @pytest.mark.parametrize("kind", ["fscore", "integrated"])
+    def test_otherwise_the_smaller_labels_win_a_tie(self, kind):
+        # the head [0, 0] is gold (Delta 0) and loses to the tied [0, 1], [1, 0]
+        trans = np.array([[0.0, -0.125], [-0.125, -4.0], [0.0, 0.0]])
+        assert viterbi(self.FLAT, trans).labels == [0, 0]
+        trigger = Trigger(kind)
+        labels, aug = _augmented_best([0, 0], self.FLAT, trans, trigger, self.SCHEME2, 4)
+        assert labels == [0, 1]
+        tied = [sentence_score(self.FLAT, trans, seq) + trigger.delta([0, 0], seq, self.SCHEME2)
+                for seq in ([0, 1], [1, 0])]
+        assert aug == tied[0] == tied[1] > sentence_score(self.FLAT, trans, [0, 0])
+
+    def test_augmented_gap_is_the_brute_force_gap(self):
+        for seed in range(200):
+            params, sent = tiny_instance(seed, n_tokens=1 + seed % 4)
+            em, scheme, gold = forward_em(sent, params), params.meta.scheme, sent.gold_labels
+            every = [list(seq) for seq in itertools.product(range(em.n_labels), repeat=em.n)]
+            for trigger in TRIGGERS:
+                augs = sorted(sentence_score(em, params.transitions, seq)
+                              + trigger.delta(gold, seq, scheme) for seq in every)
+                assert augmented_gap(sent, params, trigger) == augs[-1] - augs[-2]
 
 
 class TestInstanceLoss:
