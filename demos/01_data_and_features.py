@@ -13,7 +13,6 @@ from mmner.corpus import (
     parse_conll,
     positional_tags,
     repair_bio,
-    represent,
     vocab_sources,
 )
 from mmner.embeddings import InputAssembly, assemble_window, random_table
@@ -51,7 +50,7 @@ print("\nrepair", [scheme.name(x) for x in broken], "->", [scheme.name(x) for x 
 # carry segmentation information.
 seg = load_segmentation("张伟 去 北京\n哥们 在 老家\n")
 print("\nper-word position tags for 张伟:", list(positional_tags("张伟")))
-print("positional tokens:", represent(sentences[0], list(seg["张伟去北京"]), "positional", False)[0])
+print("positional tokens:", vocab_sources(sentences[:1], seg, "positional", False)[0])
 print("lookup for the joined sentence:", seg["张伟去北京"])
 
 # Representation 2: raw characters plus a discrete segmentation-tag feature
@@ -59,11 +58,11 @@ print("lookup for the joined sentence:", seg["张伟去北京"])
 
 # Bigram templates around position t: (t-2,t-1) (t-1,t) (t,t+1) (t+1,t+2)
 # and the skip pair (t-1,t+1); out-of-range slots read a boundary marker.
-# With bigrams on, represent gives one column per template, holding that
-# template's string at every position; position t reads entry t of each.
-_, columns = represent(sentences[0], list(seg["张伟去北京"]), "positional", True)
+# With bigrams on, vocab_sources lists the five template strings of each
+# position in template order, position after position.
+_, bigrams = vocab_sources(sentences[:1], seg, "positional", True)
 for t in range(len(sentences[0])):
-    print(f"bigrams at t={t}:", [column[t] for column in columns])
+    print(f"bigrams at t={t}:", bigrams[5 * t:5 * t + 5])
 
 # Everything above feeds a per-position vector: a window of token embeddings
 # concatenated with one embedding per feature slot.

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, islice, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,6 +58,8 @@ class TagScheme:
     outside_label: str = "O"
 
     def __post_init__(self):
+        if {type(name) for name in self.labels} != {str}:
+            raise ValueError("labels must be strings")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate label names")
         if self.outside_label not in self.labels:
@@ -360,14 +362,16 @@ def slot_kinds(mode: str, bigrams: bool) -> list[str]:
     return kinds
 
 
-def _columns(sentences: list[Sentence], seg_tags: Iterable[list[str]], mode: str, bigrams: bool):
-    """The one step from text to strings, over all ``sentences`` in a row: the
-    distinct (vocabulary kind, strings) columns, iterators to read once, the
-    token keys first, and per slot of :func:`slot_kinds` a (column, indices)
-    pair. A bigram column joins the entries 1 or 2 apart in the sentences
-    joined with two BOUNDARY around each: the five templates index two columns."""
+def _columns(sentences: list[Sentence], seg_map: dict | None, mode: str, bigrams: bool):
+    """The one step from text to strings, over all ``sentences`` in a row, each
+    sentence's tags read with :func:`seg_tags_for` before any column is built:
+    the distinct (vocabulary kind, strings) columns, iterators to read once,
+    the token keys (the characters, or ``char#tag`` when positional) first,
+    and per slot of :func:`slot_kinds` a (column, indices) pair. A bigram
+    column joins the entries 1 or 2 apart in the sentences joined with two
+    BOUNDARY around each: the five templates index two columns."""
     chars = list(chain.from_iterable(sent.tokens for sent in sentences))
-    tags = list(chain.from_iterable(seg_tags))
+    tags = list(chain.from_iterable(seg_tags_for(sent.tokens, seg_map) for sent in sentences))
     segfeat = "seg" in slot_kinds(mode, bigrams)
     columns = [("token", iter(chars) if segfeat else map("#".join, zip(chars, tags)))]
     columns += [("seg", iter(tags))] if segfeat else []
@@ -385,31 +389,15 @@ def _columns(sentences: list[Sentence], seg_tags: Iterable[list[str]], mode: str
     return columns, slots
 
 
-def _strings(columns: list[tuple[str, Iterator[str]]], slots) -> tuple[list[str], list[list[str]]]:
-    """The token keys and, per slot, its string at each position."""
-    strings = [list(column) for _, column in columns]
-    return strings[0], [list(map(strings[c].__getitem__, at.tolist())) for c, at in slots]
-
-
-def represent(sentence: Sentence, seg_tags: list[str], mode: str, bigrams: bool):
-    """Token keys (the characters, or ``char#tag`` when positional) and, per
-    slot of :func:`slot_kinds` in order, a column of that slot's strings: the
-    one-sentence case of :func:`encode_corpus`'s corpus-wide columns."""
-    if len(seg_tags) != len(sentence.tokens):
-        raise ValueError("segmentation tag count does not match token count")
-    return _strings(*_columns([sentence], [seg_tags], mode, bigrams))
-
-
 def encode_corpus(sentences: list[Sentence], seg_map: dict[str, tuple[str, ...]] | None,
                   mode: str, bigrams: bool, token_vocab: Vocab,
                   vocabs: dict[str, Vocab]) -> list[Sentence]:
     """Copies of the sentences, tokens as given, with the integer arrays of
-    :class:`Sentence`: ids of :func:`represent`'s token keys and features. Each
-    column is looked up as it is built, once for the whole corpus. A sentence
-    gets copies of its rows, not views, which would keep the corpus-wide arrays
+    :class:`Sentence`: ids of the token keys and features. Each column is
+    looked up as it is built, once for the whole corpus. A sentence gets
+    copies of its rows, not views, which would keep the corpus-wide arrays
     alive; measured, that doubled the page faults of the training that follows."""
-    columns, slots = _columns(
-        sentences, [seg_tags_for(sent.tokens, seg_map) for sent in sentences], mode, bigrams)
+    columns, slots = _columns(sentences, seg_map, mode, bigrams)
     by_kind = {**vocabs, "token": token_vocab}
     ids = [np.fromiter(map(by_kind[kind].stoi.get, strings, repeat(0)), np.intp)
            for kind, strings in columns]
@@ -425,7 +413,8 @@ def vocab_sources(sentences: list[Sentence], seg_map: dict[str, tuple[str, ...]]
                   mode: str, bigrams: bool) -> tuple[list[str], list[str]]:
     """All token keys and bigram strings a corpus produces, for vocab
     building: the bigrams position after position, each in template order."""
-    columns, slots = _columns(
-        sentences, [seg_tags_for(sent.tokens, seg_map) for sent in sentences], mode, bigrams)
-    keys, strings = _strings(columns, [(c, at) for c, at in slots if columns[c][0] == "bigram"])
-    return keys, list(chain.from_iterable(zip(*strings)))
+    columns, slots = _columns(sentences, seg_map, mode, bigrams)
+    strings = [list(column) for _, column in columns]
+    templates = [map(strings[c].__getitem__, at.tolist()) for c, at in slots
+                 if columns[c][0] == "bigram"]
+    return strings[0], list(chain.from_iterable(zip(*templates)))

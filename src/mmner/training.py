@@ -316,6 +316,10 @@ def _meta_from_json(blob: bytes) -> ModelMeta:
     doc = json.loads(blob.decode("utf-8"))
     if not isinstance(doc, dict):
         raise ValueError("metadata is not a JSON object")
+    keys = {*META_FIELDS, "labels", "entity_types", "outside", "token_trainable"}
+    if doc.keys() != keys:
+        raise ValueError(f"metadata key mismatch: missing {sorted(keys - doc.keys())}, "
+                         f"unexpected {sorted(doc.keys() - keys)}")
     scheme = TagScheme(tuple(doc["labels"]), tuple((c, k) for c, k in doc["entity_types"]),
                        doc["outside"])
     values = {k: tuple(doc[k]) if isinstance(doc[k], list) else doc[k] for k in META_FIELDS}

@@ -8,7 +8,7 @@ pin the array beam to it; like beam_topk it hoists the package's viterbi.
 lstm_step is the LSTM recurrence written out with a plain logistic sigmoid,
 which the GEMM-based directions of the network are checked against.
 reference_bigrams is the per-position bigram extractor that the column-wise
-corpus.represent replaced, each template written out on its own.
+corpus._columns replaced, each template written out on its own.
 reference_represent, reference_encode_corpus and reference_vocab_sources
 are the per-sentence text-to-ids steps that the corpus-wide columns of
 corpus.encode_corpus and corpus.vocab_sources replaced: every template's

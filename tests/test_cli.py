@@ -462,6 +462,11 @@ class TestPredict:
      "entity types must be distinct pairs of strings"),
     (lambda doc: doc["entity_types"].append(doc["entity_types"][0]),
      "entity types must be distinct pairs of strings"),
+    ({"labels": ["O", "B-PER.NAM", 3]}, "labels must be strings"),
+    ({"extra": 1}, "metadata key mismatch: missing [], unexpected ['extra']"),
+    (lambda doc: doc.pop("labels"), "metadata key mismatch: missing ['labels'], unexpected []"),
+    (lambda doc: doc.update(windw=doc.pop("window")),
+     "metadata key mismatch: missing ['window'], unexpected ['windw']"),
 ])
 def test_metadata_error_names_the_fault(tmp_path, corpus_files, capsys, patch, says):
     model = tmp_path / "bad.bin"

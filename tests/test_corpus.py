@@ -24,7 +24,6 @@ from mmner.corpus import (
     parse_conll,
     positional_tags,
     repair_bio,
-    represent,
     seg_tags_for,
     slot_kinds,
     vocab_sources,
@@ -82,6 +81,9 @@ class TestTagScheme:
             TagScheme(("O", "X-PER.NAM"), (("PER", "NAM"),))
         with pytest.raises(ValueError):
             TagScheme(("O", "O"), ())
+        for labels in [(0, "B-PER.NAM", "I-PER.NAM"), ("O", ["B-PER.NAM"]), ("O", None)]:
+            with pytest.raises(ValueError, match="^labels must be strings$"):
+                TagScheme(labels, (("PER", "NAM"),), labels[0])
 
     @pytest.mark.parametrize("entity_types", [
         (("PER", "NAM"), ("PER", "NAM")),
@@ -300,10 +302,15 @@ class TestPositional:
 
 
 def represent_rows(tokens, seg_tags, mode, bigrams):
-    """represent with its columns turned into per-position rows: row t holds
-    each slot's string at position t."""
-    surface, columns = represent(Sentence(tokens), seg_tags, mode, bigrams)
-    return surface, [[column[t] for column in columns] for t in range(len(tokens))]
+    """One sentence's token keys from vocab_sources, and per position a row of
+    each slot's string: encode_corpus's ids read back through vocabularies
+    built from vocab_sources' strings."""
+    sentences, seg_map = [Sentence(tokens)], {"".join(tokens): tuple(seg_tags)}
+    keys, bigram_strings = vocab_sources(sentences, seg_map, mode, bigrams)
+    vocabs = {"seg": SEG_VOCAB, "bigram": build_vocab(bigram_strings)}
+    [encoded] = encode_corpus(sentences, seg_map, mode, bigrams, build_vocab(keys), vocabs)
+    tables = [vocabs[kind].itos for kind in slot_kinds(mode, bigrams)]
+    return keys, [[table[i] for table, i in zip(tables, row)] for row in encoded.features.tolist()]
 
 
 def bigram_rows(tokens, mode=MODE_POSITIONAL):
@@ -523,7 +530,7 @@ class TestRepresent:
         encoded = encode_corpus(sentences, None, mode, bigrams, token_vocab, vocabs)
         for sent, enc in zip(sentences, encoded):
             n = len(sent)
-            keys, _ = represent(sent, ["S"] * n, mode, bigrams)
+            keys, _ = vocab_sources([sent], None, mode, bigrams)
             assert enc.token_ids.dtype == enc.features.dtype == np.intp
             assert enc.token_ids.shape == (n,)
             assert enc.features.shape == (n, n_slots)

@@ -1,5 +1,5 @@
 """The package carries no code without a caller: every module-level name in
-src/mmner is used somewhere else in the package or exported by it, and every
+src/mmner is read by code elsewhere in the package or exported by it, and every
 name a module of the package or a demo imports is used in that module. The
 README's "Layout" block lists each of its modules."""
 
@@ -13,35 +13,43 @@ DEMOS = PACKAGE.parent.parent / "demos"
 
 
 def _definitions(tree: ast.Module):
-    """(name, line) of each module-level def, class and assigned name."""
+    """(name, node) of each module-level def, class and assigned name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for leaf in ast.walk(target):
                     if isinstance(leaf, ast.Name):
-                        yield leaf.id, node.lineno
+                        yield leaf.id, node
+
+
+def _references(tree: ast.Module):
+    """(name, line) of each name the code reads: a Name, an Attribute, an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((alias.name, node.lineno) for alias in node.names)
 
 
 def uncalled(package: Path) -> list[str]:
-    """``module.name`` of every module-level name that appears on no other
-    line of the package and is not imported by its ``__init__``."""
-    sources = {path: path.read_text("utf-8") for path in sorted(package.glob("*.py"))}
-    init = ast.parse(sources[package / "__init__.py"])
-    exported = {alias.name for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
-    lines = [(path, lineno, line) for path, text in sources.items()
-             for lineno, line in enumerate(text.splitlines(), start=1)]
+    """``module.name`` of every module-level name that no code of the package
+    references outside the name's own definition; an import, such as the
+    ``__init__``'s exports, counts, a docstring or comment does not."""
+    trees = {path: ast.parse(path.read_text("utf-8")) for path in sorted(package.glob("*.py"))}
+    references = [(path, name, line) for path, tree in trees.items()
+                  for name, line in _references(tree)]
     found = []
-    for path, text in sources.items():
-        for name, def_line in _definitions(ast.parse(text)):
-            if name in exported or (name.startswith("__") and name.endswith("__")):
+    for path, tree in trees.items():
+        for name, node in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
                 continue
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            if not any(word.search(line) for where, lineno, line in lines
-                       if (where, lineno) != (path, def_line)):
+            if not any(ref == name and not (where == path and node.lineno <= line <= node.end_lineno)
+                       for where, ref, line in references):
                 found.append(f"{path.stem}.{name}")
     return found
 
@@ -62,6 +70,18 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_every_src_name_has_a_caller():
     assert uncalled(PACKAGE) == []
+
+
+def test_a_mention_in_prose_is_not_a_caller(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported\n", "utf-8")
+    (tmp_path / "a.py").write_text(
+        'def exported():\n    """Unlike mentioned, which only this docstring names."""\n'
+        "    return helper() + CONSTANT  # a comment naming recursive\n\n\n"
+        "def mentioned():\n    pass\n\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n\n"
+        "def helper():\n    return 1\n\n\n"
+        "CONSTANT = 2\n", "utf-8")
+    assert uncalled(tmp_path) == ["a.mentioned", "a.recursive"]
 
 
 def test_readme_layout_lists_every_module():

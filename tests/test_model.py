@@ -8,8 +8,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mmner.corpus import (Vocab, build_vocab, encode_corpus, load_segmentation, represent,
-                          slot_kinds, vocab_sources)
+from mmner.corpus import (Vocab, build_vocab, encode_corpus, load_segmentation, slot_kinds,
+                          vocab_sources)
 from mmner.embeddings import random_table
 from mmner.model import ModelMeta, ModelParams, init_params
 from mmner.synthetic import synthetic_corpus, tiny_instance
@@ -71,7 +71,7 @@ def test_encode_maps_unseen_tokens_to_unknown():
                                  mode="positional", bigrams=False, **SIZES)
     sent = corpus.sentences[4]
     (encoded,) = meta.encode([sent], None)
-    keys, _ = represent(sent, ["S"] * len(sent), "positional", False)
+    keys, _ = vocab_sources([sent], None, "positional", False)
     seen = set(meta.token_itos)
     assert 0 < sum(key in seen for key in keys) < len(keys)  # both cases occur
     assert encoded.token_ids.tolist() == [meta.token_vocab.index(k) if k in seen else 0
