@@ -4,8 +4,10 @@ import struct
 
 import numpy as np
 
+from mmner import training
 from mmner.model import ModelMeta, init_params
 from mmner.synthetic import tiny_instance
+from mmner.training import save_model
 
 # the tensors the shape tests widen: an LSTM bias, the projection weights, a table
 MISSHAPEN = ("lstm_bwd_b", "proj_w", "emb_seg")
@@ -29,6 +31,30 @@ def build_from_raw(
         d_token=d_token, d_feature=d_feature, hidden_dim=hidden)
     params = init_params(meta, np.random.default_rng(seed))
     return params, meta.encode(raw_sentences, seg_map)
+
+
+def break_proj_b(monkeypatch):
+    """Wrap ``mmner.training.backward`` so that every gradient it returns has
+    1.0 too much in ``d_b_y[0]``, the analytic gradient of ``proj_b[0]``."""
+    real = training.backward
+
+    def broken(*args):
+        grads = real(*args)
+        grads.d_b_y[0] += 1.0
+        return grads
+
+    monkeypatch.setattr(training, "backward", broken)
+
+
+def save_non_finite(params, path, name, index, value):
+    """Save ``params`` to the file ``path`` with ``value``, a NaN or an infinity
+    that save_model refuses, written over tensor ``name``'s entry at ``index``."""
+    sentinel = 1.0 + 2.0 ** -40  # eight bytes that occur nowhere else in the file
+    params.named_tensors()[name][index] = sentinel
+    save_model(params, str(path))
+    blob = path.read_bytes()
+    assert blob.count(struct.pack("<d", sentinel)) == 1
+    path.write_bytes(blob.replace(struct.pack("<d", sentinel), struct.pack("<d", value)))
 
 
 def misshapen(name):

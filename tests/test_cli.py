@@ -16,7 +16,7 @@ from mmner.cli import SETTINGS, main, parse_config, CliError
 from mmner.corpus import parse_conll, TagScheme
 from mmner.synthetic import synthetic_corpus, tiny_instance, to_conll
 from mmner.training import load_model, save_model
-from support import MISSHAPEN, append_tensor, misshapen
+from support import MISSHAPEN, append_tensor, break_proj_b, misshapen, save_non_finite
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -408,6 +408,12 @@ class TestPredict:
     def test_missing_model(self, tmp_path, corpus_files, capsys):
         assert main(["predict", str(tmp_path / "no.bin"), str(corpus_files / "dev.conll")]) == 2
 
+    def test_empty_input_path_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "tiny.bin"
+        save_model(tiny_instance(3)[0], str(model))
+        assert main(["predict", str(model), ""]) == 2
+        assert capsys.readouterr().err == "error: no input path given\n"
+
     def test_non_utf8_input_exits_2(self, tmp_path, capsys):
         model = tmp_path / "tiny.bin"
         save_model(tiny_instance(3)[0], str(model))
@@ -507,10 +513,8 @@ class TestNonFiniteModel:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_exits_2_naming_the_tensor(self, tmp_path, corpus_files, capsys, command, value):
-        params, _ = tiny_instance(3)
-        params.proj.b_y[0] = value
         model = tmp_path / "bad.bin"
-        save_model(params, str(model))
+        save_non_finite(tiny_instance(3)[0], model, "proj_b", 0, value)
         assert main([command, str(model), str(corpus_files / "dev.conll")]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: tensor proj_b holds a NaN or infinite value\n"
@@ -664,8 +668,9 @@ class TestGradcheck:
         main(["gradcheck", "--seed", "5", "--trigger", "fscore"])
         assert capsys.readouterr().out == first
 
-    def test_corrupt_fails(self, capsys):
-        assert main(["gradcheck", "--seed", "2", "--corrupt", "proj_b"]) == 1
+    def test_corrupt_fails(self, monkeypatch, capsys):
+        break_proj_b(monkeypatch)
+        assert main(["gradcheck", "--seed", "2"]) == 1
         assert "FAILED" in capsys.readouterr().out
 
 
@@ -683,7 +688,7 @@ class TestBadSettings:
         (["train"], {"mode": "bogus"}, "bogus"),
         (["train"], {"bigrams": "maybe"}, "bigrams"),
         (["gradcheck", "--seed", "-1"], None, "seed"),
-        (["gradcheck", "--corrupt", "nosuch"], None, "proj_b"),
+        (["gradcheck", "--seed", "2", "--trigger", "hamming", "--kappa", "1e20"], None, "near tie"),
         (["train"], {"beta_sweep": ","}, "setting 'beta-sweep': empty list"),
         (["train"], {"train": os.devnull}, "must contain labeled sentences"),
         (["train"], {"dev": os.devnull}, f"dev file {os.devnull} must contain labeled sentences"),
@@ -743,6 +748,20 @@ class TestBadSettings:
         assert main(["train", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: training diverged")
         assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("trigger", ["integrated", "hamming"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_in_the_last_step_exits_1(self, tmp_path, capsys, trigger):
+        # one sentence, one epoch: the one step's loss is finite, its update is not
+        one = synthetic_corpus(1)
+        (tmp_path / "one.conll").write_text(to_conll(one.sentences, one.scheme), "utf-8")
+        cfg = write_config(tmp_path / "c.cfg", train=str(tmp_path / "one.conll"),
+                           model_out=str(tmp_path / "m.bin"))
+        argv = ["train", "--config", str(cfg), "--epochs", "1", "--window", "3", "--lr", "1e308",
+                "--trigger", trigger]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: tensor ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "one.conll"]
 
 
 class TestUsage:

@@ -229,6 +229,10 @@ class TestParseConll:
         assert [s.tokens for s in sentences] == [["a", "b"], ["c"]]
         assert all(s.gold_labels is None for s in sentences)
 
+    def test_label_count_must_match_token_count(self):
+        with pytest.raises(ValueError, match="gold label count does not match token count"):
+            Sentence(["a", "b"], [0])
+
     def test_invalid_bio_repaired_and_counted(self):
         sentences, repairs = parse_conll("a\tI-PER.NAM\nb\tI-PER.NAM\n", SCHEME)
         assert repairs == 1

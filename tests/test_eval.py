@@ -164,6 +164,8 @@ class TestEvaluate:
             evaluate(gold, [], SCHEME)
         with pytest.raises(ValueError):
             evaluate(gold, [lab("O")], SCHEME)
+        with pytest.raises(ValueError, match="sentence has no gold labels"):
+            evaluate([Sentence(list("两个"))], [lab("O", "O")], SCHEME)
 
 
 class TestOov:
@@ -173,8 +175,8 @@ class TestOov:
     ]
 
     def test_surfaces(self):
-        surfaces = gold_entity_surfaces(self.GOLD, SCHEME)
-        assert surfaces == {"张伟", "北京"}
+        surfaces = gold_entity_surfaces([*self.GOLD, Sentence(list("上海"))], SCHEME)
+        assert surfaces == {"张伟", "北京"}  # the unlabeled sentence is skipped
 
     def test_recall_splits_known_and_unknown(self):
         # 张伟 seen in training, 北京 not; both predicted correctly

@@ -40,7 +40,7 @@ from mmner.training import (
 from mmner.triggers import Trigger
 
 from oracles import ADVERSARIAL_SCHEME, adversarial_instances, augmented_argmax, enumerate_all
-from support import append_tensor, build_from_raw
+from support import append_tensor, break_proj_b, build_from_raw, save_non_finite
 
 TRIGGERS = (Trigger("hamming"), Trigger("fscore"), Trigger("integrated"))
 
@@ -421,6 +421,14 @@ class TestTrainLoop:
                                              "model's window 3"):
             train(params, encoded, [], replace(config, window=5))
 
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 2.5), ("epochs", True), ("beam_k", 2.0), ("seed", 1.5), ("window", 3.0),
+    ])
+    def test_a_count_that_is_not_an_int_raises(self, name, value):
+        trigger = Trigger("fscore" if name == "beam_k" else "hamming")
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            TrainConfig(trigger, **{name: value})
+
     def test_the_window_left_out_is_the_model_s(self):
         runs = []
         for window in (3, None):
@@ -579,6 +587,17 @@ class TestSerialization:
         save_model(params, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor_is_not_saved(self, tmp_path, bad):
+        params, _ = tiny_instance(9)
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"old")
+        params.proj.b_y[-1] = bad  # written after every table and weight matrix
+        with pytest.raises(ValueError, match="tensor proj_b holds a NaN or infinite value"):
+            save_model(params, str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]
+        assert path.read_bytes() == b"old"
+
     def test_save_is_deterministic(self, tmp_path):
         params, _ = tiny_instance(9)
         p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
@@ -657,12 +676,10 @@ class TestSerialization:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_is_rejected(self, tmp_path, value):
-        params, _ = tiny_instance(10)
-        params.tables["emb_bigram"].vectors[3, 1] = value
-        path = str(tmp_path / "m.bin")
-        save_model(params, path)
+        path = tmp_path / "m.bin"
+        save_non_finite(tiny_instance(10)[0], path, "emb_bigram", (3, 1), value)
         with pytest.raises(ModelIOError, match="tensor emb_bigram holds a NaN or infinite"):
-            load_model(path)
+            load_model(str(path))
 
     def test_load_holds_one_copy_of_the_tensors(self, tmp_path):
         # the file is read once; tensors are copied out of views into it
@@ -777,12 +794,11 @@ class TestGradCheckHarness:
         assert report.passed(1e-4)
         assert set(report.per_tensor) == set(params.named_tensors())
 
-    def test_corrupt_hook_fails(self):
+    def test_corrupt_hook_fails(self, monkeypatch):
+        break_proj_b(monkeypatch)
         params, sent = tiny_instance(11)
         k = params.meta.scheme.n_labels ** len(sent)
-        report = finite_difference_check(
-            sent, params, Trigger("integrated"), k, corrupt="proj_b"
-        )
+        report = finite_difference_check(sent, params, Trigger("integrated"), k)
         assert not report.passed(1e-4)
         assert report.per_tensor["proj_b"] > 0.1
 
@@ -807,3 +823,8 @@ class TestPredict:
         assert labels == [viterbi(forward_em(s, params), params.transitions).labels
                           for s in encoded]
         assert predict_all([], params) == []
+
+    def test_unencoded_sentence_is_refused(self):
+        params, _ = tiny_instance(13)
+        with pytest.raises(ValueError, match="not mapped to indices"):
+            predict_labels(Sentence(list("AB")), params)
