@@ -7,7 +7,6 @@ import numpy as np
 from mmner import training
 from mmner.model import ModelMeta, init_params
 from mmner.synthetic import tiny_instance
-from mmner.training import save_model
 
 # the tensors the shape tests widen: an LSTM bias, the projection weights, a table
 MISSHAPEN = ("lstm_bwd_b", "proj_w", "emb_seg")
@@ -49,12 +48,12 @@ def break_proj_b(monkeypatch):
 def save_non_finite(params, path, name, index, value):
     """Save ``params`` to the file ``path`` with ``value``, a NaN or an infinity
     that save_model refuses, written over tensor ``name``'s entry at ``index``."""
-    sentinel = 1.0 + 2.0 ** -40  # eight bytes that occur nowhere else in the file
+    sentinel = 1.0 + 2.0 ** -40  # a finite value whose eight bytes occur once in the file
     params.named_tensors()[name][index] = sentinel
-    save_model(params, str(path))
-    blob = path.read_bytes()
-    assert blob.count(struct.pack("<d", sentinel)) == 1
-    path.write_bytes(blob.replace(struct.pack("<d", sentinel), struct.pack("<d", value)))
+    training.save_model(params, str(path))
+    blob, old = path.read_bytes(), struct.pack("<d", sentinel)
+    assert blob.count(old) == 1
+    path.write_bytes(blob.replace(old, struct.pack("<d", value)))
 
 
 def misshapen(name):
