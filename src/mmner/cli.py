@@ -81,7 +81,7 @@ class Setting:
 
 PATH = Setting(_path, flag=False)
 SETTINGS = {
-    "train": PATH, "dev": PATH, "test": PATH, "embeddings": PATH,
+    "train": PATH, "dev": PATH, "embeddings": PATH,
     "model-out": PATH, "metrics-out": PATH,
     "seed": Setting(int),
     "trigger": Setting(str, INTEGRATED, choices=TRIGGER_KINDS),
@@ -182,6 +182,7 @@ def _seg_map(path: str | None):
     return load_segmentation(_read(path, "segmented text")) if path else None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a named check reports each overflow
 def cmd_train(args) -> int:
     config = parse_config(_read(args.config, "config")) if args.config else {}
     v = _settings(args, config)
@@ -191,7 +192,10 @@ def cmd_train(args) -> int:
     scheme = TagScheme.from_entity_types()
     with _usage_errors():
         tc = _train_config(v)
-        sweep = [replace(tc, trigger=replace(tc.trigger, kind=INTEGRATED, beta=beta))
+        for key, unset in (("trigger", INTEGRATED), ("beta", None)):  # a sweep sets both
+            if v["beta-sweep"] and v[key] != unset:
+                raise CliError(f"{key} = {v[key]} conflicts with beta-sweep, which sets it")
+        sweep = [replace(tc, trigger=replace(tc.trigger, beta=beta))
                  for beta in v["beta-sweep"] or ()]
         for key in ("train",) if sweep else ("train", "model-out"):  # a sweep writes no model
             if not v[key]:
@@ -208,7 +212,6 @@ def cmd_train(args) -> int:
                     raise CliError(f"{key} and {other} name the same file: {v[key]}")
         train_set = _load(v["train"], "training", scheme)
         dev_set = _load(v["dev"], "dev", scheme) if v["dev"] else []
-        test_set = _load(v["test"], "test", scheme) if v["test"] and not sweep else []
         seg_map = _seg_map(v["segmented-text"])
         meta = ModelMeta.from_corpus(
             train_set, seg_map, scheme=scheme, mode=v["mode"], bigrams=v["bigrams"],
@@ -220,7 +223,7 @@ def cmd_train(args) -> int:
         token_table = load_pretrained(text, meta.token_vocab, meta.d_token, rng)
     params = init_params(meta, rng, token_table)
 
-    train_set, dev_set, test_set = (meta.encode(s, seg_map) for s in (train_set, dev_set, test_set))
+    train_set, dev_set = (meta.encode(s, seg_map) for s in (train_set, dev_set))
     if sweep:
         return _beta_sweep(sweep, params, train_set, dev_set)
 
@@ -232,10 +235,6 @@ def cmd_train(args) -> int:
         print(line)
     if dev_set:
         print(render_report(evaluate(dev_set, predict_all(dev_set, best), scheme)))
-    if v["test"]:
-        surfaces = gold_entity_surfaces(train_set, scheme)
-        print("test set:")
-        print(render_report(evaluate(test_set, predict_all(test_set, best), scheme, surfaces)))
     print(f"model written to {model_out}")
     return 0
 

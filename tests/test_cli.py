@@ -14,6 +14,7 @@ import mmner
 
 from mmner.cli import SETTINGS, main, parse_config, CliError
 from mmner.corpus import parse_conll, TagScheme
+from mmner.model import D_TOKEN
 from mmner.synthetic import synthetic_corpus, tiny_instance, to_conll
 from mmner.training import load_model, save_model
 from support import MISSHAPEN, append_tensor, break_proj_b, misshapen, save_non_finite
@@ -210,7 +211,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("out, used", [
         ("model_out", "metrics_out"), ("model_out", "train"), ("metrics_out", "train"),
-        ("model_out", "dev"), ("metrics_out", "test"), ("model_out", "embeddings"),
+        ("model_out", "dev"), ("metrics_out", "dev"), ("model_out", "embeddings"),
         ("metrics_out", "segmented_text")])
     def test_output_over_a_file_the_run_uses_fails_before_reading(self, tmp_path, capsys, out,
                                                                   used):
@@ -229,11 +230,12 @@ class TestTrain:
         assert target.read_text("utf-8") == "keep\n"
         assert sorted(tmp_path.iterdir()) == [cfg, tmp_path / "sub", target]
 
-    def test_unknown_config_key(self, tmp_path, capsys):
+    def test_unknown_config_key(self, tmp_path, corpus_files, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("optimizer = adam\n", "utf-8")
-        assert main(["train", "--config", str(bad)]) == 2
-        assert "optimizer" in capsys.readouterr().err
+        for key, value in (("optimizer", "adam"), ("test", corpus_files / "dev.conll")):
+            bad.write_text(f"{key} = {value}\n", "utf-8")
+            assert main(["train", "--config", str(bad)]) == 2
+            assert capsys.readouterr().err == f"error: config line 1: unknown key {key!r}\n"
 
     def test_non_finite_kappa_is_a_usage_error(self, tmp_path, corpus_files, capsys):
         cfg = write_config(tmp_path / "c.cfg", train=str(corpus_files / "train.conll"),
@@ -259,27 +261,6 @@ class TestTrain:
         assert code == 0
         assert (tmp_path / "model.bin.log").read_text("utf-8").startswith("0\t")
 
-    def test_test_set_report(self, tmp_path, corpus_files, capsys):
-        code, model = train_once(
-            tmp_path, corpus_files, name="t.bin",
-            test=str(corpus_files / "dev.conll"),
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "test set:" in out
-        # the test-set report includes OOV recall against the training gold
-        assert out.count("OOV recall") == 2
-        tail = out.split("test set:")[1]
-        assert "(" in tail.splitlines()[5]  # hit/total support shown
-
-    def test_missing_test_file_fails_before_training(self, tmp_path, corpus_files, capsys):
-        code, model = train_once(tmp_path, corpus_files, name="late.bin",
-                                 test=str(tmp_path / "missing.conll"))
-        assert code == 2
-        assert "test file not found" in capsys.readouterr().err
-        assert not model.exists()
-        assert not model.with_name("late.bin.log").exists()
-
     def test_segmented_mode(self, tmp_path, corpus_files):
         code, model = train_once(
             tmp_path, corpus_files, name="seg.bin",
@@ -293,20 +274,26 @@ class TestTrain:
     def test_runs_under_different_hash_seeds_write_the_same_bytes(self, tmp_path, corpus_files,
                                                                  trigger):
         # string hashing orders sets and dicts of strings differently in each
-        # process; nothing a run writes may depend on that order
+        # process; nothing a run writes may depend on that order, nor the
+        # held-out report with its OOV recall (a set of entity surfaces)
+        dev, seg = str(corpus_files / "dev.conll"), str(corpus_files / "seg.txt")
         runs = []
         for hash_seed in ("0", "1", "2"):
             work = tmp_path / hash_seed
             work.mkdir()
             cfg = write_config(
-                work / "train.cfg", train=str(corpus_files / "train.conll"),
-                dev=str(corpus_files / "dev.conll"), test=str(corpus_files / "dev.conll"),
+                work / "train.cfg", train=str(corpus_files / "train.conll"), dev=dev,
                 model_out="model.bin", mode="segfeat", bigrams="on", trigger=trigger,
-                segmented_text=str(corpus_files / "seg.txt"))
+                segmented_text=seg)
             done = run_cli("train", "--config", str(cfg), cwd=work, PYTHONHASHSEED=hash_seed)
             assert done.returncode == 0, done.stderr
+            scored = run_cli("eval", "model.bin", dev, "--train-gold",
+                             str(corpus_files / "train.conll"), "--segmented-text", seg,
+                             cwd=work, PYTHONHASHSEED=hash_seed)
+            assert scored.returncode == 0 and "OOV recall" in scored.stdout, scored.stderr
             runs.append(((work / "model.bin").read_bytes(),
-                         (work / "model.bin.log").read_text("utf-8"), done.stdout))
+                         (work / "model.bin.log").read_text("utf-8"), done.stdout,
+                         scored.stdout))
         assert runs[0] == runs[1] == runs[2]
 
 
@@ -637,13 +624,21 @@ class TestBetaSweep:
         assert main(["train", "--config", str(cfg), "--beta-sweep", "0.5"]) == 0
         assert train.read_bytes() == (corpus_files / "train.conll").read_bytes()
 
-    def test_test_file_is_not_read(self, tmp_path, corpus_files, capsys):
-        cfg = write_config(tmp_path / "t.cfg", train=str(corpus_files / "train.conll"),
-                           epochs="1", trigger="integrated", test=str(tmp_path / "nosuch.conll"))
-        assert main(["train", "--config", str(cfg), "--beta-sweep", "0.5"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "beta\toverall_f1"
-        assert [line.split("\t")[0] for line in lines[1:]] == ["0.5"]
+    @pytest.mark.parametrize("setting, says", [
+        ({}, "trigger = hamming"),
+        ({"trigger": "fscore"}, "trigger = fscore"),
+        ({"trigger": "integrated", "beta": "0.7"}, "beta = 0.7")])
+    def test_a_conflicting_setting_exits_2_before_reading(self, tmp_path, capsys, setting,
+                                                          says):
+        # the sweep trains trigger integrated at each of its betas; the
+        # training file is absent, so the check must come before any read
+        cfg = write_config(tmp_path / "c.cfg", train=str(tmp_path / "absent.conll"),
+                           model_out=str(tmp_path / "m.bin"), **setting)
+        assert main(["train", "--config", str(cfg), "--beta-sweep", "0,0.2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {says} conflicts with beta-sweep, which sets it\n"
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_bad_list(self, tmp_path, corpus_files, capsys):
         model = tmp_path / "s.bin"
@@ -692,7 +687,6 @@ class TestBadSettings:
         (["train"], {"beta_sweep": ","}, "setting 'beta-sweep': empty list"),
         (["train"], {"train": os.devnull}, "must contain labeled sentences"),
         (["train"], {"dev": os.devnull}, f"dev file {os.devnull} must contain labeled sentences"),
-        (["train"], {"test": os.devnull}, f"test file {os.devnull} must contain labeled sentences"),
     ])
     def test_exits_2_with_an_error_line(self, tmp_path, corpus_files, capsys, argv, config, says):
         if config is not None:
@@ -706,7 +700,7 @@ class TestBadSettings:
         assert says in err
         assert not (tmp_path / "m.bin").exists()
 
-    @pytest.mark.parametrize("where", ["train", "dev", "test", "predict", "eval"])
+    @pytest.mark.parametrize("where", ["train", "dev", "predict", "eval"])
     def test_segmentation_tag_count_mismatch(self, tmp_path, corpus_files, capsys, where):
         # the segmented line "ab c" gives three tags to the two tokens "ab", "c"
         odd = tmp_path / "odd.conll"
@@ -741,16 +735,17 @@ class TestBadSettings:
         assert err == f"error: setting {name!r}: a path cannot hold a NUL character\n"
         assert list(tmp_path.iterdir()) == [cfg]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exits_1(self, tmp_path, corpus_files, capsys):
         cfg = write_config(tmp_path / "d.cfg", train=str(corpus_files / "train.conll"),
                            model_out=str(tmp_path / "m.bin"), l2="1e308")
         assert main(["train", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err.startswith("error: training diverged")
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged") and err.count("\n") == 1
         assert not (tmp_path / "m.bin").exists()
 
     @pytest.mark.parametrize("trigger", ["integrated", "hamming"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_in_the_last_step_exits_1(self, tmp_path, capsys, trigger):
         # one sentence, one epoch: the one step's loss is finite, its update is not
         one = synthetic_corpus(1)
@@ -760,8 +755,21 @@ class TestBadSettings:
         argv = ["train", "--config", str(cfg), "--epochs", "1", "--window", "3", "--lr", "1e308",
                 "--trigger", trigger]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: tensor ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: tensor ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "one.conll"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_embeddings_whose_sum_overflows_exit_2(self, tmp_path, corpus_files, capsys):
+        # every component is finite; the sum of the two vectors is not
+        emb = tmp_path / "emb.txt"
+        emb.write_text("".join(f"{word}{' 1e308' * D_TOKEN}\n" for word in "ab"), "utf-8")
+        cfg = write_config(tmp_path / "c.cfg", train=str(corpus_files / "train.conll"),
+                           model_out=str(tmp_path / "m.bin"), embeddings=str(emb))
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: vector components too large: their sum overflows\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "emb.txt"]
 
 
 class TestUsage:
