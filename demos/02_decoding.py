@@ -20,7 +20,7 @@ n, n_labels = 4, 3
 logits = rng.normal(0.0, 1.5, (n, n_labels))
 shifted = logits - logits.max(axis=1, keepdims=True)
 probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-em = EmissionMatrix(probs, np.log(probs))
+em = EmissionMatrix(np.log(probs))
 # one extra row: transitions out of the virtual start state
 trans = rng.normal(0.0, 1.0, (n_labels + 1, n_labels))
 
@@ -51,7 +51,7 @@ for _ in range(trials):
     logits = rng.normal(0.0, 1.5, (n, n_labels))
     shifted = logits - logits.max(axis=1, keepdims=True)
     p = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-    em_t = EmissionMatrix(p, np.log(p))
+    em_t = EmissionMatrix(np.log(p))
     tr = rng.normal(0.0, 1.0, (n_labels + 1, n_labels))
     truth = {
         tuple(labels)

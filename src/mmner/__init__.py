@@ -40,7 +40,6 @@ from .training import (
     instance_loss,
     load_model,
     loss_augmented_predict,
-    objective,
     predict_all,
     predict_labels,
     save_model,

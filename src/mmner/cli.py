@@ -99,7 +99,6 @@ SETTINGS = {
     "segmented-text": Setting(
         _path, help="pre-segmented sentences (words space-separated, one per line)"),
 }
-CONFIG_KEYS = frozenset(SETTINGS)
 GRADCHECK_KEYS = ("seed", "trigger", "kappa", "beta", "mode", "bigrams")
 
 
@@ -115,7 +114,7 @@ def parse_config(text: str) -> dict[str, str]:
         if not sep:
             raise CliError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_KEYS:
+        if key not in SETTINGS:
             raise CliError(f"config line {lineno}: unknown key {key!r}")
         if key in seen:
             raise CliError(f"config line {lineno}: key {key!r} already set on line {seen[key]}")

@@ -79,12 +79,12 @@ class TagScheme:
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.labels)})
 
     @classmethod
-    def from_entity_types(cls, entity_types=DEFAULT_ENTITY_TYPES, outside="O"):
-        labels = [outside]
+    def from_entity_types(cls, entity_types=DEFAULT_ENTITY_TYPES):
+        labels = ["O"]
         for cat, kind in entity_types:
             labels.append(f"B-{cat}.{kind}")
             labels.append(f"I-{cat}.{kind}")
-        return cls(tuple(labels), tuple(entity_types), outside)
+        return cls(tuple(labels), tuple(entity_types))
 
     @property
     def n_labels(self) -> int:

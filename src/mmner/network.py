@@ -129,27 +129,24 @@ def _direction_backward(
 
 @dataclass
 class EmissionMatrix:
-    """Per-position label distributions; rows of ``probs`` sum to one."""
+    """Per-position label log-probabilities; each row's exp sums to one."""
 
-    probs: np.ndarray
     log_probs: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.probs.shape[0]
+        return self.log_probs.shape[0]
 
     @property
     def n_labels(self) -> int:
-        return self.probs.shape[1]
+        return self.log_probs.shape[1]
 
 
 def emissions(hidden: np.ndarray, proj: ProjectionParams) -> EmissionMatrix:
-    """Row-wise stabilized softmax of the projected hidden vectors."""
+    """Row-wise stabilized log-softmax of the projected hidden vectors."""
     logits = hidden @ proj.w_hy.T + proj.b_y
     shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    denom = exp.sum(axis=1, keepdims=True)
-    return EmissionMatrix(exp / denom, shifted - np.log(denom))
+    return EmissionMatrix(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
 
 
 @dataclass
@@ -206,13 +203,12 @@ def backward(
     """Exact gradients of sum(d_log_probs * log y) for all network tensors.
 
     ``d_log_probs`` is the upstream gradient at the per-position label
-    log-probabilities, shape (n, n_labels).
+    log-probabilities, shape (n, n_labels); y is recovered as their exp.
     """
     if d_log_probs.shape != cache.em.log_probs.shape:
         raise ValueError("upstream gradient shape mismatch")
-    probs = cache.em.probs
     # d log y / d logits folds the softmax normalizer back in.
-    d_logits = d_log_probs - probs * d_log_probs.sum(axis=1, keepdims=True)
+    d_logits = d_log_probs - np.exp(cache.em.log_probs) * d_log_probs.sum(axis=1, keepdims=True)
     d_w_hy = d_logits.T @ cache.hidden
     d_b_y = d_logits.sum(axis=0)
     d_hidden = d_logits @ proj.w_hy

@@ -1,6 +1,6 @@
-"""Max-margin training: loss-augmented inference, the regularized objective,
-per-instance SGD with learning-rate decay, dev-set model selection, model
-serialization, and a finite-difference gradient checker.
+"""Max-margin training of mean_i q_i + (lambda/2) ||theta||^2: loss-augmented
+inference, per-instance SGD with learning-rate and weight decay, dev-set model
+selection, model serialization, and a finite-difference gradient checker.
 
 The per-instance loss is
 
@@ -103,7 +103,7 @@ def _augmented_best(
     if trigger.kind == HAMMING:
         cost = np.full(em.log_probs.shape, trigger.kappa)
         cost[np.arange(len(gold)), gold] = 0.0
-        best = viterbi(EmissionMatrix(em.probs, em.log_probs + cost), trans)
+        best = viterbi(EmissionMatrix(em.log_probs + cost), trans)
         return best.labels, best.score
 
     candidates = beam_topk(em, trans, beam_k)
@@ -172,19 +172,6 @@ def instance_gradients(
     grads.update(lstm_fwd_w=net.d_fwd_w, lstm_fwd_b=net.d_fwd_b, lstm_bwd_w=net.d_bwd_w,
                  lstm_bwd_b=net.d_bwd_b, proj_w=net.d_w_hy, proj_b=net.d_b_y, transitions=d_trans)
     return q, lbar, grads
-
-
-def l2_norm_sq(params: ModelParams) -> float:
-    """Sum of squares over every tensor."""
-    return float(sum((arr * arr).sum() for arr in params.named_tensors().values()))
-
-
-def objective(dataset: list[Sentence], params: ModelParams, config: TrainConfig) -> float:
-    """Mean instance loss plus the L2 penalty (lambda/2 ||theta||^2)."""
-    if not dataset:
-        raise ValueError("empty dataset")
-    total = sum(instance_loss(s, params, config.trigger, config.beam_k)[0] for s in dataset)
-    return total / len(dataset) + 0.5 * config.l2_lambda * l2_norm_sq(params)
 
 
 def sgd_step(

@@ -43,7 +43,7 @@ def random_em(rng, n, n_labels, spread=1.5):
     logits = rng.normal(0.0, spread, (n, n_labels))
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-    return EmissionMatrix(probs, np.log(probs))
+    return EmissionMatrix(np.log(probs))
 
 
 def random_instance(rng, n, n_labels):
@@ -93,7 +93,7 @@ def adversarial_instances(seed, count):
         n = int(rng.integers(2, 5))
         log_probs = np.round(rng.normal(size=(n, n_labels)), 3)
         trans = np.round(rng.normal(size=(n_labels + 1, n_labels)) * 4) / 4 * 3e15
-        yield EmissionMatrix(np.exp(log_probs), log_probs), trans
+        yield EmissionMatrix(log_probs), trans
 
 
 def enumerate_all(em, trans):

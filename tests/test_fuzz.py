@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmner.cli import CONFIG_KEYS, CliError, main, parse_config
+from mmner.cli import SETTINGS, CliError, main, parse_config
 from mmner.corpus import CorpusError, TagScheme, build_vocab, parse_conll
 from mmner.embeddings import EmbeddingFormatError, load_pretrained
 from mmner.model import D_TOKEN
@@ -34,7 +34,7 @@ def lines_of(*pieces):
 
 
 @FUZZ
-@given(lines_of("=", " = ", "#", " ", *sorted(CONFIG_KEYS)))
+@given(lines_of("=", " = ", "#", " ", *sorted(SETTINGS)))
 def test_parse_config_raises_only_cli_error(text):
     try:
         parse_config(text)
@@ -279,7 +279,7 @@ def _write_inputs(root):
 @given(st.data())
 def test_cli_on_mutated_config_exits_0_or_2_with_one_error_line(inputs_dir, data):
     paths = _write_inputs(inputs_dir)
-    pieces = [*sorted(CONFIG_KEYS), " = ", "=", " ", "#", "0", "1", "-1", "0.5,1", "nan", "1e308",
+    pieces = [*sorted(SETTINGS), " = ", "=", " ", "#", "0", "1", "-1", "0.5,1", "nan", "1e308",
               "on", "off", "fscore", "segfeat", *paths.values(), str(inputs_dir),
               str(inputs_dir / "no" / "x")]
     fragment = st.lists(st.sampled_from(pieces), max_size=4).map("".join)

@@ -1,7 +1,8 @@
 """The package carries no code without a caller: every module-level name in
-src/mmner is read by code elsewhere in the package or exported by it, and every
-name a module of the package or a demo imports is used in that module. The
-README's "Layout" block lists each of its modules."""
+src/mmner is read by code elsewhere in the package, a demo or the benchmark
+(an export alone does not count), and every name a module of the package or a
+demo imports is used in that module. The README's "Layout" block lists each of
+its modules."""
 
 import ast
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mmner"
 README = PACKAGE.parent.parent / "README.md"
 DEMOS = PACKAGE.parent.parent / "demos"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 
 def _definitions(tree: ast.Module):
@@ -25,24 +27,28 @@ def _definitions(tree: ast.Module):
                         yield leaf.id, node
 
 
-def _references(tree: ast.Module):
-    """(name, line) of each name the code reads: a Name, an Attribute, an import."""
+def _references(tree: ast.Module, imports: bool = True):
+    """(name, line) of each name the code reads: a Name, an Attribute, an
+    import (unless ``imports`` is false)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        elif imports and isinstance(node, (ast.Import, ast.ImportFrom)):
             yield from ((alias.name, node.lineno) for alias in node.names)
 
 
-def uncalled(package: Path) -> list[str]:
+def uncalled(package: Path, callers=()) -> list[str]:
     """``module.name`` of every module-level name that no code of the package
-    references outside the name's own definition; an import, such as the
-    ``__init__``'s exports, counts, a docstring or comment does not."""
+    or of the ``callers`` files references outside the name's own definition.
+    An import counts, except in the package ``__init__``: an export is not a
+    caller. A docstring or comment does not count either."""
     trees = {path: ast.parse(path.read_text("utf-8")) for path in sorted(package.glob("*.py"))}
     references = [(path, name, line) for path, tree in trees.items()
-                  for name, line in _references(tree)]
+                  for name, line in _references(tree, imports=path.name != "__init__.py")]
+    references += [(path, name, line) for path in callers
+                   for name, line in _references(ast.parse(path.read_text("utf-8")))]
     found = []
     for path, tree in trees.items():
         for name, node in _definitions(tree):
@@ -69,7 +75,8 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_every_src_name_has_a_caller():
-    assert uncalled(PACKAGE) == []
+    callers = sorted(DEMOS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    assert uncalled(PACKAGE, callers) == []
 
 
 def test_a_mention_in_prose_is_not_a_caller(tmp_path):
@@ -81,7 +88,11 @@ def test_a_mention_in_prose_is_not_a_caller(tmp_path):
         "def recursive(n):\n    return recursive(n - 1)\n\n\n"
         "def helper():\n    return 1\n\n\n"
         "CONSTANT = 2\n", "utf-8")
-    assert uncalled(tmp_path) == ["a.mentioned", "a.recursive"]
+    assert uncalled(tmp_path) == ["a.exported", "a.mentioned", "a.recursive"]
+    caller = tmp_path / "caller" / "demo.py"
+    caller.parent.mkdir()
+    caller.write_text("from pkg import exported\n", "utf-8")
+    assert uncalled(tmp_path, [caller]) == ["a.mentioned", "a.recursive"]
 
 
 def test_readme_layout_lists_every_module():

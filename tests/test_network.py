@@ -129,8 +129,7 @@ class TestEmissions:
         rng = np.random.default_rng(3)
         proj = ProjectionParams(*reference_projection_init(4, 6, rng))
         em = emissions(rng.normal(size=(7, 6)) * 10, proj)
-        np.testing.assert_allclose(em.probs.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(np.log(em.probs), em.log_probs, atol=1e-12)
+        np.testing.assert_allclose(np.exp(em.log_probs).sum(axis=1), 1.0, atol=1e-9)
 
     def test_uniform_row(self):
         proj = ProjectionParams(np.zeros((4, 3)), np.zeros(4))
@@ -143,15 +142,14 @@ class TestEmissions:
         hidden = rng.normal(size=(3, 5))
         proj = ProjectionParams(rng.normal(size=(4, 5)), rng.normal(size=4))
         shifted = ProjectionParams(proj.w_hy.copy(), proj.b_y + 100.0)
-        np.testing.assert_allclose(
-            emissions(hidden, proj).probs, emissions(hidden, shifted).probs, atol=1e-12
-        )
+        np.testing.assert_allclose(np.exp(emissions(hidden, proj).log_probs),
+                                   np.exp(emissions(hidden, shifted).log_probs), atol=1e-12)
 
     def test_extreme_logits_stable(self):
         proj = ProjectionParams(np.eye(2) * 500, np.zeros(2))
         em = emissions(np.array([[1.0, -1.0]]), proj)
         assert np.isfinite(em.log_probs).all()
-        np.testing.assert_allclose(em.probs.sum(axis=1), 1.0)
+        np.testing.assert_allclose(np.exp(em.log_probs).sum(axis=1), 1.0)
 
 
 def small_net(rng, n=3, window=3, d_tok=2, d_feat=2, hidden=3, n_labels=3):
@@ -214,6 +212,20 @@ class TestBackward:
                 theta[idx] = orig
                 numeric = (up - down) / (2 * eps)
                 assert abs(analytic[idx] - numeric) <= 1e-7 * max(1.0, abs(numeric))
+
+    def test_a_margin_upstream_skips_the_softmax_term(self):
+        # training's upstream, +1 at lbar and -1 at gold, sums to exactly zero
+        # in every row, so the probabilities' term drops out bit for bit
+        rng = np.random.default_rng(8)
+        sent, assembly, fwd, bwd, proj = small_net(rng)
+        cache = forward_sentence(sent, assembly, fwd, bwd, proj)
+        upstream = np.zeros_like(cache.em.log_probs)
+        rows, lbar, gold = np.arange(3), [2, 0, 1], [0, 0, 2]
+        np.add.at(upstream, (rows, lbar), 1.0)
+        np.add.at(upstream, (rows, gold), -1.0)
+        grads = backward(cache, upstream, assembly, fwd, bwd, proj)
+        assert np.array_equal(grads.d_b_y, upstream.sum(axis=0))
+        assert np.array_equal(grads.d_w_hy, upstream.T @ cache.hidden)
 
     def test_upstream_shape_checked(self):
         rng = np.random.default_rng(7)

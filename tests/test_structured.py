@@ -17,7 +17,7 @@ from oracles import (
 
 def em_from_probs(rows):
     probs = np.asarray(rows, dtype=float)
-    return EmissionMatrix(probs, np.log(probs))
+    return EmissionMatrix(np.log(probs))
 
 
 class TestSentenceScore:
@@ -66,7 +66,7 @@ class TestSentenceScore:
                 zeros = rng.random(arr.shape) < 0.3
                 arr[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
             log_probs[rng.random(log_probs.shape) < 0.05] = -np.inf
-            em = EmissionMatrix(np.exp(log_probs), log_probs)
+            em = EmissionMatrix(log_probs)
             labels = rng.integers(0, n_labels, size=n).tolist()
             got, want = sentence_score(em, trans, labels), loop_sentence_score(em, trans, labels)
             assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
@@ -181,7 +181,7 @@ class TestBeamTopk:
         (0, 4, 2, "empty emission matrix"),
     ])
     def test_input_errors(self, n, trans_rows, k, says):
-        em = EmissionMatrix(np.full((n, 3), 1 / 3), np.full((n, 3), math.log(1 / 3)))
+        em = EmissionMatrix(np.full((n, 3), math.log(1 / 3)))
         with pytest.raises(ValueError, match=f"^{says}$"):
             beam_topk(em, np.zeros((trans_rows, 3)), k)
 
@@ -198,7 +198,7 @@ class TestBeamTopk:
         em, trans = random_instance(rng, n, n_labels)
         log_probs = np.round(em.log_probs * 2) / 2
         trans = np.zeros_like(trans) if rng.random() < 1 / 3 else np.round(trans)
-        return EmissionMatrix(np.exp(log_probs), log_probs), trans
+        return EmissionMatrix(log_probs), trans
 
     def test_bit_identical_to_reference_beam(self):
         rng = np.random.default_rng(13)
