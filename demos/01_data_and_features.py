@@ -84,5 +84,5 @@ print("\ntoken ids:", encoded[0].token_ids)
 print("feature ids, one row per position:\n", encoded[0].features)
 X = assemble_window(encoded[0], assembly)
 print(f"\nwindow=3, d_token=4, five bigram slots at d_feature=2"
-      f" -> input width {assembly.width}")
+      f" -> input width {X.shape[1]}")
 print("assembled input matrix:", X.shape)

@@ -10,7 +10,7 @@ violates the margin most.
 
 from mmner.corpus import TagScheme
 from mmner.evaluation import token_accuracy
-from mmner.training import _forward, loss_augmented_predict
+from mmner.training import loss_augmented_predict
 from mmner.triggers import (
     Trigger,
     fscore_delta,
@@ -52,7 +52,6 @@ print("integrated delta =", integrated_delta(gold, worse, kappa, beta, scheme))
 # kappa the augmented argmax is pushed away from gold even when the model
 # already decodes correctly.
 params, sent = tiny_instance(seed=5, n_tokens=4)
-em = _forward(sent, params).em
 print("\ntiny random model, gold =", sent.gold_labels)
 for kind in ("hamming", "fscore", "integrated"):
     for kappa in (0.0, 0.5, 3.0):

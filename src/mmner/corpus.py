@@ -331,9 +331,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.itos)
 
-    def __contains__(self, s: str) -> bool:
-        return s in self.stoi
-
 
 def vocab_itos(tokens: Iterable[str]) -> list[str]:
     """The two reserved entries, then each distinct string in first-occurrence order."""

@@ -166,10 +166,6 @@ class InputAssembly:
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError("window must be a positive odd count")
 
-    @property
-    def width(self) -> int:
-        return self.window * self.token_table.dim + sum(t.dim for t in self.slot_tables)
-
 
 def _window_ids(sentence: Sentence, window: int) -> np.ndarray:
     """(n, window) ids: row t holds input row t's window of token ids, PAD_INDEX past the ends."""
@@ -182,7 +178,7 @@ def _window_ids(sentence: Sentence, window: int) -> np.ndarray:
 
 
 def assemble_window(sentence: Sentence, assembly: InputAssembly) -> np.ndarray:
-    """Per-position input matrix of shape (len(sentence), assembly.width)."""
+    """Per-position input matrix: row t is t's window of token vectors, then its slot features."""
     token = assembly.token_table
     parts = [token.vectors[_window_ids(sentence, assembly.window)].reshape(len(sentence), -1)]
     parts[0] *= token.scale

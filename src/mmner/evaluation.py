@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from .corpus import Sentence, TagScheme, entities_from_labels, entity_spans
 
 GROUP_OF_KIND = {"NAM": "named", "NOM": "nominal"}
-GROUPS = ("named", "nominal")
 
 
 def group_of(category: str) -> str:
@@ -97,7 +96,7 @@ def evaluate(
     """
     if len(gold_sentences) != len(predicted):
         raise ValueError("sentence count mismatch")
-    report = EvalReport(groups={g: Counts() for g in GROUPS})
+    report = EvalReport(groups={g: Counts() for g in GROUP_OF_KIND.values()})
     report.oov_known = train_surfaces is not None
     for sent, pred in zip(gold_sentences, predicted):
         if sent.gold_labels is None:

@@ -90,9 +90,8 @@ class ModelMeta:
         (and file) order; the one statement of which tensors exist."""
         width, h, n = self.input_width, self.hidden_dim, self.scheme.n_labels
         shapes = {"emb_token": (len(self.token_itos), self.d_token)}
-        rows = {"seg": len(SEG_VOCAB), "bigram": len(self.bigram_itos)}
-        for kind in dict.fromkeys(slot_kinds(self.mode, self.bigrams)):
-            shapes[f"emb_{kind}"] = (rows[kind], self.d_feature)
+        for kind, vocab in self.feature_vocabs().items():
+            shapes[f"emb_{kind}"] = (len(vocab), self.d_feature)
         for direction in ("fwd", "bwd"):
             shapes[f"lstm_{direction}_w"] = (4 * h, width + h)
             shapes[f"lstm_{direction}_b"] = (4 * h,)

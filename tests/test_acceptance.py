@@ -21,7 +21,6 @@ from mmner.corpus import (
 )
 from mmner.embeddings import load_pretrained
 from mmner.evaluation import evaluate, token_accuracy
-from mmner.network import EmissionMatrix
 from mmner.structured import beam_topk, sentence_score, viterbi
 from mmner.synthetic import synthetic_corpus, tiny_instance, to_conll
 from mmner.training import (
@@ -30,7 +29,6 @@ from mmner.training import (
     _forward,
     augmented_gap,
     finite_difference_check,
-    instance_loss,
     load_model,
     loss_augmented_predict,
     predict_labels,

@@ -468,7 +468,7 @@ class TestVocab:
         assert vocab.itos[:2] == ["<unk>", "<pad>"]
         assert vocab.index("x") == 2
         assert vocab.index("missing") == 0
-        assert "y" in vocab and "missing" not in vocab
+        assert "y" in vocab.stoi and "missing" not in vocab.stoi
         # first-occurrence order; reserved strings in the input are not re-added
         assert build_vocab(["b", "<pad>", "a", "b", "<unk>"]).itos == ["<unk>", "<pad>", "b", "a"]
 

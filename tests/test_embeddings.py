@@ -118,7 +118,7 @@ class TestAssembly:
             [table.vectors[PAD_INDEX], table.vectors[3], table.vectors[PAD_INDEX]]
         )
         np.testing.assert_array_equal(out[0], expected)
-        assert out.shape == (1, assembly.width) == (1, 6)
+        assert out.shape == (1, 3 * 2)
 
     def test_feature_slots_share_tables(self):
         rng = np.random.default_rng(2)
@@ -137,7 +137,7 @@ class TestAssembly:
         assembly = InputAssembly(3, random_table(7, 4, rng), [random_table(5, 2, rng)])
         for n in (1, 2, 5):
             sent = encoded_sentence([2] * n, features=[[3]] * n)
-            assert assemble_window(sent, assembly).shape == (n, assembly.width)
+            assert assemble_window(sent, assembly).shape == (n, 3 * 4 + 2)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -176,7 +176,7 @@ class TestAssemblyBackward:
         feat = random_table(5, 2, rng)
         assembly = InputAssembly(3, token, [feat, feat])
         sent = encoded_sentence([2, 2, 4], features=[[2, 3], [3, 3], [4, 2]])
-        d_inputs = rng.normal(size=(3, assembly.width))
+        d_inputs = rng.normal(size=(3, 3 * 3 + 2 + 2))
 
         sparse_tok, (sparse_feat,) = assembly_backward(d_inputs, sent, assembly)
         d_tok, d_feat = sparse_tok.dense(token.size), sparse_feat.dense(feat.size)
@@ -198,7 +198,7 @@ class TestAssemblyBackward:
         token, seg, bigram = (random_table(n, dim, rng) for n, dim in ((4, 1), (3, 2), (5, 2)))
         assembly = InputAssembly(1, token, [bigram, seg, bigram])
         sent = encoded_sentence([2, 3], features=[[3, 2, 4], [4, 2, 4]])
-        d_inputs = rng.normal(size=(2, assembly.width))
+        d_inputs = rng.normal(size=(2, 1 + 2 + 2 + 2))
         _, d_feats = assembly_backward(d_inputs, sent, assembly)
         assert len(d_feats) == 2
         d_bigram, d_seg = d_feats

@@ -1,8 +1,8 @@
 """The package carries no code without a caller: every module-level name in
 src/mmner is read by code elsewhere in the package, a demo or the benchmark
-(an export alone does not count), and every name a module of the package or a
-demo imports is used in that module. The README's "Layout" block lists each of
-its modules."""
+(an export alone does not count), and every name a module of the package, a
+demo or a test imports is used in that module. The README's "Layout" block
+lists each of its modules."""
 
 import ast
 import re
@@ -12,6 +12,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mmner"
 README = PACKAGE.parent.parent / "README.md"
 DEMOS = PACKAGE.parent.parent / "demos"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
 
 
 def _definitions(tree: ast.Module):
@@ -102,6 +103,6 @@ def test_readme_layout_lists_every_module():
 
 
 def test_every_import_is_used():
-    modules = sorted(PACKAGE.glob("*.py")) + sorted(DEMOS.glob("*.py"))
+    modules = [path for d in (PACKAGE, DEMOS, TESTS) for path in sorted(d.glob("*.py"))]
     found = [hit for path in modules if path.name != "__init__.py" for hit in unused_imports(path)]
     assert found == []

@@ -10,7 +10,7 @@ import pytest
 
 from mmner.corpus import (Vocab, build_vocab, encode_corpus, load_segmentation, slot_kinds,
                           vocab_sources)
-from mmner.embeddings import random_table
+from mmner.embeddings import assemble_window, random_table
 from mmner.model import ModelMeta, ModelParams, init_params
 from mmner.synthetic import synthetic_corpus, tiny_instance
 from mmner.training import ModelShapeError, load_model, save_model
@@ -127,8 +127,9 @@ def test_unknown_mode_is_a_value_error():
 @pytest.mark.parametrize("bigrams", [True, False], ids=["bigrams", "no-bigrams"])
 @pytest.mark.parametrize("mode", ["positional", "segfeat"])
 def test_tables_are_the_emb_tensors_in_tensor_order(tmp_path, mode, bigrams):
-    params, _ = tiny_instance(3, mode=mode, bigrams=bigrams)
-    names = [name for name in params.meta.tensor_shapes() if name.startswith("emb_")]
+    params, sent = tiny_instance(3, mode=mode, bigrams=bigrams)
+    meta = params.meta
+    names = [name for name in meta.tensor_shapes() if name.startswith("emb_")]
     assert names == ["emb_token", *["emb_seg"] * (mode == "segfeat"), *["emb_bigram"] * bigrams]
     assert list(params.tables) == names
     assembly = params.assembly()
@@ -137,6 +138,10 @@ def test_tables_are_the_emb_tensors_in_tensor_order(tmp_path, mode, bigrams):
     assert len(assembly.slot_tables) == len(kinds)
     for table, kind in zip(assembly.slot_tables, kinds):
         assert table is params.tables[f"emb_{kind}"]
+    assert assemble_window(sent, assembly).shape == (len(sent), meta.input_width)
+    assert params.tables["emb_token"].size == len(meta.token_vocab)
+    for kind, vocab in meta.feature_vocabs().items():
+        assert params.tables[f"emb_{kind}"].size == len(vocab)
     save_model(params, str(tmp_path / "m.bin"))
     assert list(load_model(str(tmp_path / "m.bin")).tables) == names
 

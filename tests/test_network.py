@@ -7,7 +7,6 @@ from mmner.corpus import Sentence
 from mmner.embeddings import InputAssembly, random_table
 from mmner.model import init_params
 from mmner.network import (
-    EmissionMatrix,
     LstmParams,
     ProjectionParams,
     _activate,
@@ -107,10 +106,10 @@ class TestBiLstm:
         # forward_sentence's first half steps the cell left to right over the
         # input rows, its second half right to left
         rng = np.random.default_rng(8)
-        sent, assembly, _, _, proj = small_net(rng, n=6)
+        sent, assembly, small_fwd, _, proj = small_net(rng, n=6)
         for table in (assembly.token_table, assembly.slot_tables[0]):  # the slots share one table
             table.vectors *= 20.0  # inputs spread over about +-2
-        width = assembly.width
+        width = small_fwd.input_dim
         fwd, bwd = (LstmParams(rng.normal(size=(12, width + 3)), rng.normal(size=12))
                     for _ in range(2))
         cache = forward_sentence(sent, assembly, fwd, bwd, proj)
@@ -156,8 +155,9 @@ def small_net(rng, n=3, window=3, d_tok=2, d_feat=2, hidden=3, n_labels=3):
     token = random_table(5, d_tok, rng)
     feat = random_table(4, d_feat, rng)
     assembly = InputAssembly(window, token, [feat, feat])
-    fwd = LstmParams(*reference_lstm_init(assembly.width, hidden, rng))
-    bwd = LstmParams(*reference_lstm_init(assembly.width, hidden, rng))
+    width = window * d_tok + 2 * d_feat
+    fwd = LstmParams(*reference_lstm_init(width, hidden, rng))
+    bwd = LstmParams(*reference_lstm_init(width, hidden, rng))
     proj = ProjectionParams(*reference_projection_init(n_labels, 2 * hidden, rng))
     sent = Sentence(
         tokens=["x"] * n,
